@@ -18,7 +18,7 @@ func mustParse(t *testing.T, spec string) Model {
 }
 
 func TestModelsRegistered(t *testing.T) {
-	got := Registered()
+	got := Models.Names()
 	for _, want := range []string{"gainoffset", "pertile"} {
 		found := false
 		for _, name := range got {
@@ -297,7 +297,7 @@ func TestFromFlagConventions(t *testing.T) {
 }
 
 func TestLookupUnknown(t *testing.T) {
-	if _, err := Lookup("definitely-not-registered"); err == nil {
+	if _, err := Models.Lookup("definitely-not-registered"); err == nil {
 		t.Fatal("Lookup of unknown model succeeded")
 	} else if !strings.Contains(err.Error(), "definitely-not-registered") {
 		t.Fatalf("error %v does not name the model", err)

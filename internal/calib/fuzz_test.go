@@ -17,6 +17,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("pertile:tilerows=8")
 	f.Add("gainoffset:probes=2.5")
 	f.Add("gainoffset:probes=")
+	f.Add("gainoffset:probes=NaN")
+	f.Add("pertile:tilerows=Inf")
 	f.Fuzz(func(t *testing.T, spec string) {
 		m, err := Parse(spec)
 		if err != nil {

@@ -5,11 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"swim/internal/registry"
 	"swim/internal/stat"
 )
 
 func TestPresetsRegistered(t *testing.T) {
-	got := Registered()
+	got := Models.Names()
 	for _, want := range []string{"lightening", "ramwich", "rram"} {
 		found := false
 		for _, name := range got {
@@ -125,13 +126,13 @@ func TestFromFlag(t *testing.T) {
 }
 
 func TestDuplicateRegister(t *testing.T) {
-	if err := Register("rram", func(Params) (Model, error) { return Model{}, nil }); err == nil {
+	if err := Models.Register("rram", func(*registry.Params) (Model, error) { return Model{}, nil }); err == nil {
 		t.Fatal("duplicate Register succeeded, want error")
 	}
-	if err := Register("", func(Params) (Model, error) { return Model{}, nil }); err == nil {
+	if err := Models.Register("", func(*registry.Params) (Model, error) { return Model{}, nil }); err == nil {
 		t.Fatal("empty-name Register succeeded, want error")
 	}
-	if err := Register("x", nil); err == nil {
+	if err := Models.Register("x", nil); err == nil {
 		t.Fatal("nil-builder Register succeeded, want error")
 	}
 }

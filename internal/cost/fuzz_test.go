@@ -15,6 +15,9 @@ func FuzzParse(f *testing.F) {
 	f.Add("rram:par")
 	f.Add(":=")
 	f.Add("rram:par=1e999")
+	f.Add("rram:write_pj=NaN")
+	f.Add("lightening:fs_gsps=Inf")
+	f.Add("rram:par=Inf")
 	f.Fuzz(func(t *testing.T, spec string) {
 		m, err := Parse(spec)
 		if err != nil {

@@ -1,11 +1,13 @@
 package experiments
 
 // Cross-registry property test. The nonideality, cost, kernel and
-// calibration registries were built to the same contract — spec strings
-// canonicalize through Parse, unknown names fail with a usage hint listing
-// what IS registered — but each package only tests its own corner. This
-// file pins the shared contract in one place, so a new registry (or a
-// refactor of an old one) that drifts from the conventions fails loudly.
+// calibration registries share one implementation (internal/registry) and
+// one contract — spec strings canonicalize through Parse, unknown names
+// fail with a usage hint listing what IS registered — but each package only
+// tests its own corner. This file pins the shared contract in one place, so
+// a new registry (or a package convention layered on one) that drifts from
+// it fails loudly. The program policy registry has no spec grammar and
+// joins only the unknown-name check.
 
 import (
 	"strings"
@@ -15,11 +17,12 @@ import (
 	"swim/internal/cost"
 	"swim/internal/kernel"
 	"swim/internal/nonideal"
+	"swim/internal/program"
 )
 
 // registryContract adapts one registry to the shared shape: its registered
 // names, a parse returning the canonical spec, and the error for an
-// unknown lookup.
+// unknown lookup. canonical is nil for a registry without a spec grammar.
 type registryContract struct {
 	pkg        string
 	registered []string
@@ -31,7 +34,7 @@ func contracts() []registryContract {
 	return []registryContract{
 		{
 			pkg:        "nonideal",
-			registered: nonideal.Registered(),
+			registered: nonideal.Models.Names(),
 			canonical: func(spec string) (string, error) {
 				n, err := nonideal.Parse(spec)
 				if err != nil {
@@ -39,11 +42,11 @@ func contracts() []registryContract {
 				}
 				return n.String(), nil
 			},
-			lookupErr: func(name string) error { _, err := nonideal.Lookup(name); return err },
+			lookupErr: func(name string) error { _, err := nonideal.Models.Lookup(name); return err },
 		},
 		{
 			pkg:        "cost",
-			registered: cost.Registered(),
+			registered: cost.Models.Names(),
 			canonical: func(spec string) (string, error) {
 				m, err := cost.Parse(spec)
 				if err != nil {
@@ -51,11 +54,11 @@ func contracts() []registryContract {
 				}
 				return m.Spec(), nil
 			},
-			lookupErr: func(name string) error { _, err := cost.Lookup(name); return err },
+			lookupErr: func(name string) error { _, err := cost.Models.Lookup(name); return err },
 		},
 		{
 			pkg:        "kernel",
-			registered: kernel.Registered(),
+			registered: kernel.Backends.Names(),
 			canonical: func(spec string) (string, error) {
 				k, err := kernel.Parse(spec)
 				if err != nil {
@@ -63,11 +66,11 @@ func contracts() []registryContract {
 				}
 				return k.Spec(), nil
 			},
-			lookupErr: func(name string) error { _, err := kernel.Lookup(name); return err },
+			lookupErr: func(name string) error { _, err := kernel.Backends.Lookup(name); return err },
 		},
 		{
 			pkg:        "calib",
-			registered: calib.Registered(),
+			registered: calib.Models.Names(),
 			canonical: func(spec string) (string, error) {
 				m, err := calib.Parse(spec)
 				if err != nil {
@@ -75,7 +78,7 @@ func contracts() []registryContract {
 				}
 				return m.Spec(), nil
 			},
-			lookupErr: func(name string) error { _, err := calib.Lookup(name); return err },
+			lookupErr: func(name string) error { _, err := calib.Models.Lookup(name); return err },
 		},
 	}
 }
@@ -122,7 +125,12 @@ func TestRegistriesCanonicalizeBuiltins(t *testing.T) {
 // built-in as a usage hint. CLIs print these errors verbatim.
 func TestRegistriesRejectUnknownNames(t *testing.T) {
 	const bogus = "no-such-model-xyz"
-	for _, c := range contracts() {
+	policies := registryContract{
+		pkg:        "program",
+		registered: program.Names(),
+		lookupErr:  func(name string) error { _, err := program.Lookup(name); return err },
+	}
+	for _, c := range append(contracts(), policies) {
 		err := c.lookupErr(bogus)
 		if err == nil {
 			t.Errorf("%s: unknown name %q looked up", c.pkg, bogus)
@@ -141,8 +149,34 @@ func TestRegistriesRejectUnknownNames(t *testing.T) {
 			}
 		}
 		// Parse goes through Lookup, so a bogus spec fails identically.
+		if c.canonical == nil {
+			continue
+		}
 		if _, err := c.canonical(bogus + ":x=1"); err == nil {
 			t.Errorf("%s: spec with unknown name parsed", c.pkg)
+		}
+	}
+}
+
+// Non-finite parameter values fail in the shared tokenizer, ahead of every
+// builder's range checks: NaN compares false against any bound, so those
+// checks alone let it through into canonical specs.
+func TestRegistriesRejectNonFinite(t *testing.T) {
+	bad := map[string][]string{
+		"nonideal": {"drift:nu=NaN", "stuckat:p=NaN", "d2d:spread=NaN", "retention:tau=Inf"},
+		"cost":     {"rram:write_pj=NaN", "lightening:fs_gsps=Inf", "rram:par=Inf"},
+		"kernel":   {"parallel:workers=NaN"},
+		"calib":    {"gainoffset:probes=NaN", "pertile:tilerows=-Inf"},
+	}
+	for _, c := range contracts() {
+		if len(bad[c.pkg]) == 0 {
+			t.Errorf("%s: no non-finite cases", c.pkg)
+		}
+		for _, spec := range bad[c.pkg] {
+			canon, err := c.canonical(spec)
+			if err == nil || !strings.HasPrefix(err.Error(), c.pkg+": bad value") {
+				t.Errorf("%s: %q -> (%q, %v), want a bad value error", c.pkg, spec, canon, err)
+			}
 		}
 	}
 }

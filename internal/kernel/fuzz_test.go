@@ -14,6 +14,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("scalar:extra=1")
 	f.Add("parallel:workers=-3")
 	f.Add("parallel:workers=2.5")
+	f.Add("parallel:workers=NaN")
+	f.Add("parallel:workers=+Inf")
 	f.Fuzz(func(t *testing.T, spec string) {
 		k, err := Parse(spec)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"swim/internal/registry"
 	"swim/internal/rng"
 	"swim/internal/tensor"
 )
@@ -296,7 +297,7 @@ func TestParallelConcurrentCallers(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	names := Registered()
+	names := Backends.Names()
 	for _, want := range []string{"scalar", "blocked", "parallel"} {
 		found := false
 		for _, n := range names {
@@ -305,13 +306,13 @@ func TestRegistry(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatalf("Registered() = %v, missing %q", names, want)
+			t.Fatalf("Backends.Names() = %v, missing %q", names, want)
 		}
 	}
-	if err := Register("", nil); err == nil {
+	if err := Backends.Register("", nil); err == nil {
 		t.Fatal("Register with empty name and nil builder should fail")
 	}
-	if err := Register("scalar", func(Params) (Backend, error) { return Default(), nil }); err == nil {
+	if err := Backends.Register("scalar", func(*registry.Params) (Backend, error) { return Default(), nil }); err == nil {
 		t.Fatal("duplicate Register should fail")
 	}
 	if _, err := Parse("nope"); err == nil || !strings.Contains(err.Error(), "registered") {

@@ -18,6 +18,10 @@ func FuzzParseStack(f *testing.F) {
 	f.Add("+")
 	f.Add("drift:nu=0.05;stuckat")
 	f.Add("stuckat:p=1e309")
+	f.Add("drift:nu=NaN")
+	f.Add("retention:tau=Inf")
+	f.Add("d2d:spread=-Inf")
+	f.Add("drift:nu=1,nu=2")
 	f.Fuzz(func(t *testing.T, spec string) {
 		models, err := ParseStack(spec)
 		if err != nil {

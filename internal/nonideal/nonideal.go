@@ -5,10 +5,10 @@
 // conductance-level quantization.
 //
 // The package mirrors the program.Policy pattern: a Nonideality is a named,
-// configured model resolved through a string registry (Register / Lookup /
-// Parse), and every Monte-Carlo trial mints its own Instance from the
-// trial's pre-split RNG stream. Instances are applied at READ time: the
-// mapping and crossbar layers keep the programmed (time-0) conductance of
+// configured model resolved through a string registry (Models / Parse),
+// and every Monte-Carlo trial mints its own Instance from the trial's
+// pre-split RNG stream. Instances are applied at READ time: the mapping
+// and crossbar layers keep the programmed (time-0) conductance of
 // every bit-slice device and pass it through Instance.Apply whenever the
 // network is evaluated, so write-verify interacts correctly with
 // post-programming degradation: programming (the whole pass, verification

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"swim/internal/device"
+	"swim/internal/registry"
 	"swim/internal/rng"
 )
 
@@ -14,12 +15,12 @@ func testModel() device.Model { return device.Default(8, 0.5) } // 2 bit-slices
 // Every registered model must round-trip its full spec through Parse and
 // yield the identical configured value.
 func TestSpecRoundTrip(t *testing.T) {
-	for _, name := range Registered() {
-		b, err := Lookup(name)
+	for _, name := range Models.Names() {
+		b, err := Models.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := b(nil)
+		n, err := b(&registry.Params{})
 		if err != nil {
 			t.Fatalf("%s: defaults rejected: %v", name, err)
 		}
@@ -251,8 +252,23 @@ func TestNewTrialsStreamDiscipline(t *testing.T) {
 	}
 }
 
+// A spec with several unknown keys names the same one on every parse —
+// swim-serve returns the text to clients — and a repeated key is a usage
+// error rather than a silent last-one-wins.
+func TestParseErrorTextDeterministic(t *testing.T) {
+	const want = `nonideal: spec "drift:aa=1,bb=2,cc=3": unknown parameter "aa" for model "drift"`
+	for i := 0; i < 200; i++ {
+		if _, err := Parse("drift:aa=1,bb=2,cc=3"); err == nil || err.Error() != want {
+			t.Fatalf("parse %d: %v, want %s", i, err, want)
+		}
+	}
+	if _, err := Parse("drift:nu=1,nu=2"); err == nil || !strings.Contains(err.Error(), `duplicate parameter "nu"`) {
+		t.Fatalf("repeated key: %v, want duplicate parameter error", err)
+	}
+}
+
 func TestLookupErrorListsRegistered(t *testing.T) {
-	_, err := Lookup("bogus")
+	_, err := Models.Lookup("bogus")
 	if err == nil || !strings.Contains(err.Error(), "drift") {
 		t.Fatalf("Lookup error should list registered models, got: %v", err)
 	}

@@ -1,35 +1,22 @@
 package program
 
 import (
-	"fmt"
-	"sort"
 	"strings"
-	"sync"
+
+	"swim/internal/registry"
 )
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Policy{}
-)
+var policies = registry.New[Policy]("program", "policy")
 
 // Register adds a policy to the registry under its Name. Registering a name
 // twice is an error: silently replacing a policy would make experiment
 // results depend on package-initialization order.
 func Register(p Policy) error {
-	if p == nil {
-		return fmt.Errorf("program: register nil policy")
+	name := ""
+	if p != nil {
+		name = p.Name()
 	}
-	name := p.Name()
-	if name == "" {
-		return fmt.Errorf("program: register policy with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("program: policy %q already registered", name)
-	}
-	registry[name] = p
-	return nil
+	return policies.Register(name, p)
 }
 
 // MustRegister is Register for package-init use; it panics on error.
@@ -41,15 +28,10 @@ func MustRegister(p Policy) {
 
 // Lookup resolves a policy by name. Unknown names return an error listing
 // what is registered, so a mistyped -policy flag reads as a usage hint.
-func Lookup(name string) (Policy, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	p, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("program: unknown policy %q (registered: %v)", name, namesLocked())
-	}
-	return p, nil
-}
+func Lookup(name string) (Policy, error) { return policies.Lookup(name) }
+
+// Names returns the registered policy names, sorted.
+func Names() []string { return policies.Names() }
 
 // ResolveNames parses a comma-separated policy list (the CLIs' -policies
 // flag), validating every trimmed name through the registry. It returns the
@@ -67,20 +49,4 @@ func ResolveNames(csv string) ([]string, error) {
 		out = append(out, name)
 	}
 	return out, nil
-}
-
-// Names returns the registered policy names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
