@@ -376,8 +376,9 @@ func BenchmarkEvalPlanResNet(b *testing.B) { benchEvalPlan(b, "resnet") }
 
 // BenchmarkEvalPlanKernels measures the same full-dataset plan evaluation
 // under every registered kernel backend (internal/kernel): scalar is the
-// bit-identical baseline, blocked re-tiles the matmuls for cache locality on
-// one core, and parallel fans batch rows across the shared worker pool. The
+// bit-identical baseline, and blocked — the default — re-tiles the matmuls
+// for cache locality, runs the sparse direct convolution and fans rows and
+// samples across idle cores through the shared pool. The
 // sub-benchmark names feed scripts/bench_kernels.sh, which gates the
 // blocked-vs-scalar speedup in CI, and the BenchmarkEvalPlan prefix keeps
 // every backend under the 0 allocs/op gate.
@@ -385,7 +386,7 @@ func BenchmarkEvalPlanKernels(b *testing.B) {
 	instrumentEvalPlan(b)
 	for _, model := range []string{"lenet", "resnet"} {
 		net, x, y := evalWorkload(model)
-		for _, spec := range []string{"scalar", "blocked", "parallel"} {
+		for _, spec := range []string{"scalar", "blocked"} {
 			k, err := kernel.Parse(spec)
 			if err != nil {
 				b.Fatal(err)

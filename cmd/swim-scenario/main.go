@@ -12,7 +12,7 @@
 //	              [-times 0,3600,86400] [-nwcs 0,0.1,0.3]
 //	              [-policies swim,magnitude,noverify]
 //	              [-sigma 1.0] [-trials N] [-workers N]
-//	              [-kernel scalar|blocked|parallel[:workers=N]]
+//	              [-kernel blocked|scalar]
 //	              [-calib gainoffset|pertile[:probes=N]]
 //	              [-json path] [-state dir]
 //

@@ -11,7 +11,7 @@
 //	swim-serve [-addr 127.0.0.1:8080] [-jobs 2] [-queue 64] [-workers N]
 //	           [-state dir] [-drain 30s] [-portfile path] [-job-ttl 1h]
 //	           [-coordinator url1,url2,...] [-shard-trials N] [-shard-target 1s]
-//	           [-kernel scalar|blocked|parallel[:workers=N]]
+//	           [-kernel blocked|scalar]
 //	           [-cache-max-entries N] [-cache-max-bytes N] [-debug-addr addr]
 //
 // With -coordinator, the daemon computes nothing locally: each job's trial

@@ -2,7 +2,6 @@ package eval_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"swim/internal/device"
@@ -13,32 +12,45 @@ import (
 	"swim/internal/rng"
 )
 
-// kernelVariants enumerates every non-default backend pinned bit-for-bit
-// against scalar, covering the parallel pool at one worker and at the full
-// CPU count (the two ends of its partitioning space).
+// scalarRef returns the scalar reference backend, selected by name so the
+// pin never compares the default backend against itself.
+func scalarRef(t testing.TB) kernel.Backend {
+	t.Helper()
+	k, err := kernel.Parse("scalar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// kernelVariants enumerates every registered backend other than the scalar
+// reference, each pinned bit-for-bit against it. The default backend
+// (blocked) is among them; the package kernel tests cover its pool and
+// inline schedules primitive by primitive.
 func kernelVariants(t testing.TB) []kernel.Backend {
 	t.Helper()
-	specs := []string{
-		"blocked",
-		"parallel:workers=1",
-		fmt.Sprintf("parallel:workers=%d", runtime.NumCPU()),
-	}
-	out := make([]kernel.Backend, 0, len(specs))
-	for _, s := range specs {
-		k, err := kernel.Parse(s)
+	var out []kernel.Backend
+	for _, name := range kernel.Backends.Names() {
+		if name == "scalar" {
+			continue
+		}
+		k, err := kernel.Parse(name)
 		if err != nil {
-			t.Fatalf("kernel.Parse(%q): %v", s, err)
+			t.Fatalf("kernel.Parse(%q): %v", name, err)
 		}
 		out = append(out, k)
+	}
+	if len(out) == 0 {
+		t.Fatal("no non-reference kernel backends registered")
 	}
 	return out
 }
 
 // TestPlanKernelBackendsBitIdentical pins the registry's determinism
 // contract at the plan level: for every registered model and every batch
-// size (1 exercises single-row paths, 7 the tile tails, 64 the steady
-// state), a plan compiled with blocked or parallel produces logits
-// bit-identical to the scalar default.
+// size (1 exercises single-row paths and the inline schedule, 7 the tile
+// tails, 64 the steady state and the pool fan-out), a plan compiled with
+// every non-reference backend produces logits bit-identical to scalar.
 func TestPlanKernelBackendsBitIdentical(t *testing.T) {
 	for _, b := range builders {
 		for _, batch := range []int{1, 7, 64} {
@@ -47,7 +59,7 @@ func TestPlanKernelBackendsBitIdentical(t *testing.T) {
 				net := b.build(r)
 				x := randomInput(batch, b.sample, r)
 
-				ref, err := eval.Compile(net, x.Shape, nil)
+				ref, err := eval.CompileKernel(net, x.Shape, nil, scalarRef(t))
 				if err != nil {
 					t.Fatalf("Compile: %v", err)
 				}
@@ -89,7 +101,7 @@ func TestPlanKernelBackendsAnalogTwin(t *testing.T) {
 			}
 			x := randomInput(7, b.sample, r)
 
-			ref, err := eval.Compile(mp.Net, x.Shape, nil)
+			ref, err := eval.CompileKernel(mp.Net, x.Shape, nil, scalarRef(t))
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
@@ -124,7 +136,7 @@ func TestEvaluatorKernelCountsMatch(t *testing.T) {
 	for i := range y {
 		y[i] = r.Intn(10)
 	}
-	want, err := eval.NewEvaluator(net, nil).CountCorrect(x, y, 16)
+	want, err := eval.NewEvaluatorKernel(net, nil, scalarRef(t)).CountCorrect(x, y, 16)
 	if err != nil {
 		t.Fatalf("scalar CountCorrect: %v", err)
 	}
@@ -140,9 +152,8 @@ func TestEvaluatorKernelCountsMatch(t *testing.T) {
 }
 
 // TestPlanKernelZeroAlloc extends the zero-allocation pin to every backend:
-// blocked re-tiles with stack-resident accumulators and parallel dispatches
-// through the persistent shared pool, so neither may allocate in steady
-// state.
+// blocked re-tiles with stack-resident accumulators and dispatches through
+// the persistent shared pool, so it may not allocate in steady state.
 func TestPlanKernelZeroAlloc(t *testing.T) {
 	for _, b := range builders {
 		for _, k := range kernelVariants(t) {

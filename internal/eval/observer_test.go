@@ -56,8 +56,8 @@ func TestPlanObserverReportsBatches(t *testing.T) {
 		t.Fatalf("observer saw %d batches, want 3", len(rec.backends))
 	}
 	for i, b := range rec.backends {
-		if b != "scalar" {
-			t.Fatalf("batch %d labeled backend %q, want scalar", i, b)
+		if b != "blocked" {
+			t.Fatalf("batch %d labeled backend %q, want the blocked default", i, b)
 		}
 		if rec.seconds[i] < 0 {
 			t.Fatalf("batch %d has negative latency %v", i, rec.seconds[i])

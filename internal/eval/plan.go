@@ -99,7 +99,7 @@ func Compile(net *nn.Network, inShape []int, scratch *tensor.Arena) (*Plan, erro
 
 // CompileKernel is Compile with an explicit kernel backend executing the
 // dense primitives (matmul, fused bias+matmul, convolution) of the layers
-// that support one; nil selects the scalar default. Every registered backend
+// that support one; nil selects kernel.Default(). Every registered backend
 // is bit-identical to scalar, so the backend never changes plan results —
 // only how fast the steps run.
 func CompileKernel(net *nn.Network, inShape []int, scratch *tensor.Arena, k kernel.Backend) (*Plan, error) {

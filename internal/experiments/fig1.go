@@ -48,7 +48,7 @@ type Fig1Config struct {
 	Nonideal []nonideal.Nonideality
 	ReadTime float64
 	// Kernel is a kernel-backend spec for the per-clone compiled
-	// evaluators; "" = scalar. Bit-identical across backends.
+	// evaluators; "" = kernel.Default(). Bit-identical across backends.
 	Kernel string
 }
 

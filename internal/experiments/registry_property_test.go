@@ -165,7 +165,7 @@ func TestRegistriesRejectNonFinite(t *testing.T) {
 	bad := map[string][]string{
 		"nonideal": {"drift:nu=NaN", "stuckat:p=NaN", "d2d:spread=NaN", "retention:tau=Inf"},
 		"cost":     {"rram:write_pj=NaN", "lightening:fs_gsps=Inf", "rram:par=Inf"},
-		"kernel":   {"parallel:workers=NaN"},
+		"kernel":   {"blocked:workers=NaN"},
 		"calib":    {"gainoffset:probes=NaN", "pertile:tilerows=-Inf"},
 	}
 	for _, c := range contracts() {

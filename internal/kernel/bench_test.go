@@ -9,8 +9,9 @@ import (
 )
 
 // convShapes are the four ResNet stage geometries (equal flops per shape at
-// width 4 — channels double as the map halves) plus the LeNet stem, so the
-// per-shape numbers show where a backend's convolution wins or loses.
+// width 4 — channels double as the map halves), the LeNet stem and ResNet's
+// two strided shapes, so the per-shape numbers show where a backend's
+// convolution wins or loses.
 var convShapes = []struct {
 	inC, outC, h, w, kh, kw, stride, pad int
 }{
@@ -21,14 +22,23 @@ var convShapes = []struct {
 	{32, 32, 4, 4, 3, 3, 1, 1}, // stage 4
 	{1, 6, 28, 28, 5, 5, 1, 2}, // lenet stem
 	{4, 8, 32, 32, 3, 3, 2, 1}, // strided downsample
+	{4, 8, 32, 32, 1, 1, 2, 0}, // strided 1x1 projection shortcut
 }
+
+// benchRuns are the benchmarked backends: the scalar reference, and blocked
+// on one lane (pool held busy) and on every lane.
+var benchRuns = []struct {
+	name, sched string
+	back        Backend
+}{{"scalar", "", scalar{}}, {"blocked-1", "inline", blocked{}}, {"blocked", "", blocked{}}}
 
 // BenchmarkConv2DBackends measures one batched Conv2D call per backend and
 // shape (batch 8), isolating the convolution kernels from the rest of the
 // plan. SetBytes carries the flop-proportional volume so ns/op comparisons
 // across shapes stay meaningful.
 func BenchmarkConv2DBackends(b *testing.B) {
-	for _, back := range []Backend{Default(), blocked{}} {
+	for _, run := range benchRuns {
+		back := run.back
 		for _, s := range convShapes {
 			g := tensor.NewConv2DGeom(s.inC, s.h, s.w, s.kh, s.kw, s.stride, s.pad)
 			const batch = 8
@@ -54,11 +64,13 @@ func BenchmarkConv2DBackends(b *testing.B) {
 			if back.UsesIm2Col() {
 				cols = tensor.New(g.ColRows(), g.ColCols())
 			}
-			name := fmt.Sprintf("%s/c%d-%d_%dx%d_s%d", back.Name(), s.inC, s.outC, s.h, s.w, s.stride)
+			name := fmt.Sprintf("%s/c%d-%d_%dx%d_k%d_s%d", run.name, s.inC, s.outC, s.h, s.w, s.kh, s.stride)
 			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					back.Conv2D(g, s.outC, dst, x, w, bias, cols)
-				}
+				withSchedule(run.sched, func() {
+					for i := 0; i < b.N; i++ {
+						back.Conv2D(g, s.outC, dst, x, w, bias, cols)
+					}
+				})
 				b.SetBytes(int64(8 * batch * s.outC * g.ColRows() * g.OutH * g.OutW))
 			})
 		}
@@ -69,7 +81,8 @@ func BenchmarkConv2DBackends(b *testing.B) {
 // register-tiling sweet spot and at a skinny shape.
 func BenchmarkMatMulBackends(b *testing.B) {
 	sizes := []struct{ m, k, n int }{{64, 128, 128}, {64, 512, 10}}
-	for _, back := range []Backend{Default(), blocked{}} {
+	for _, run := range benchRuns {
+		back := run.back
 		for _, sz := range sizes {
 			r := rng.New(13)
 			a := tensor.New(sz.m, sz.k)
@@ -77,10 +90,12 @@ func BenchmarkMatMulBackends(b *testing.B) {
 			c := tensor.New(sz.m, sz.n)
 			fill(a, r)
 			fill(bb, r)
-			b.Run(fmt.Sprintf("%s/%dx%dx%d", back.Name(), sz.m, sz.k, sz.n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					back.MatMul(c, a, bb, false)
-				}
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", run.name, sz.m, sz.k, sz.n), func(b *testing.B) {
+				withSchedule(run.sched, func() {
+					for i := 0; i < b.N; i++ {
+						back.MatMul(c, a, bb, false)
+					}
+				})
 				b.SetBytes(int64(8 * sz.m * sz.k * sz.n))
 			})
 		}

@@ -4,19 +4,26 @@ import (
 	"swim/internal/tensor"
 )
 
-// blocked is the cache/register-tiled backend. Its matmul kernels compute
+// blocked is the fast backend and the default. Its matmul kernels compute
 // each destination row in register-resident tiles of output columns, with
 // the k-loop innermost: every output element still accumulates its k-terms
 // in ascending order with the scalar backend's zero-skip, so results are
 // bit-identical to scalar, but the partial sums live in registers instead of
 // round-tripping through the destination row on every k step, and one loaded
-// operand feeds several independent accumulator chains. Its convolution is
-// direct and sparse: an input-stationary walk that reads each input pixel
-// once and scatters only the nonzero ones — padding, and the exact zeros
-// ReLU and quantization leave in roughly half of every hidden feature map,
-// multiply against literal zeros in the lowered matmul and are skipped here
-// (a bitwise no-op for finite operands, since an accumulator that starts at
-// +0 can never reach -0).
+// operand feeds several independent accumulator chains. Its stride-1
+// convolution is direct and sparse: an input-stationary walk that reads each
+// input pixel once and scatters only the nonzero ones — padding, and the
+// exact zeros ReLU and quantization leave in roughly half of every hidden
+// feature map, multiply against literal zeros in the lowered matmul and are
+// skipped here (a bitwise no-op for finite operands, since an accumulator
+// that starts at +0 can never reach -0). Strided convolutions, whose
+// scatter touches few outputs per pixel, lower through im2col into the
+// register-tiled matmul instead.
+//
+// Every call splits into independent units — destination rows for the
+// matmuls and Linear, batch samples for Conv2D — that the shared pool fans
+// across idle cores when it is free (see dispatch); otherwise the units run
+// inline, with identical results.
 type blocked struct{}
 
 var _ Backend = blocked{}
@@ -28,32 +35,26 @@ func (blocked) Name() string { return "blocked" }
 func (blocked) Spec() string { return "blocked" }
 
 // UsesIm2Col implements Backend: the blocked convolution consumes the cols
-// workspace — not as an im2col lowering, but as the packing panel its
-// register tiles read weights from.
+// workspace — as the im2col lowering of strided convolutions, and otherwise
+// as the packing panel its register tiles read weights from.
 func (blocked) UsesIm2Col() bool { return true }
 
 // MatMul implements Backend.
 func (blocked) MatMul(c, a, b *tensor.Tensor, accumulate bool) {
 	m, k, n := matMulDims(c, a, b)
-	for i := 0; i < m; i++ {
-		matMulRowBlocked(c.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, k, n, accumulate)
-	}
+	dispatch(&pjob{kind: jobMatMul, units: m, cd: c.Data, ad: a.Data, bd: b.Data, m: m, k: k, n: n, acc: accumulate}, m*k*n)
 }
 
 // MatMulTransA implements Backend.
 func (blocked) MatMulTransA(c, a, b *tensor.Tensor, accumulate bool) {
 	m, k, n := matMulTransADims(c, a, b)
-	for i := 0; i < m; i++ {
-		matMulTransARowBlocked(c.Data[i*n:(i+1)*n], a.Data, i, m, b.Data, k, n, accumulate)
-	}
+	dispatch(&pjob{kind: jobTransA, units: m, cd: c.Data, ad: a.Data, bd: b.Data, m: m, k: k, n: n, acc: accumulate}, m*k*n)
 }
 
 // MatMulTransB implements Backend.
 func (blocked) MatMulTransB(c, a, b *tensor.Tensor, accumulate bool) {
 	m, k, n := matMulTransBDims(c, a, b)
-	for i := 0; i < m; i++ {
-		matMulTransBRowBlocked(c.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, k, n, accumulate)
-	}
+	dispatch(&pjob{kind: jobTransB, units: m, cd: c.Data, ad: a.Data, bd: b.Data, m: m, k: k, n: n, acc: accumulate}, m*k*n)
 }
 
 // Linear implements Backend.
@@ -61,9 +62,7 @@ func (blocked) Linear(dst, x, w *tensor.Tensor, bias []float64) {
 	linearCheck(dst, x, w, bias)
 	m, k := x.Shape[0], x.Shape[1]
 	n := w.Shape[0]
-	for i := 0; i < m; i++ {
-		linearRowBlocked(dst.Data[i*n:(i+1)*n], x.Data[i*k:(i+1)*k], w.Data, bias, k, n)
-	}
+	dispatch(&pjob{kind: jobLinear, units: m, cd: dst.Data, ad: x.Data, bd: w.Data, bias: bias, m: m, k: k, n: n}, m*k*n)
 }
 
 // Im2Col implements Backend by delegating to the tensor lowering.
@@ -71,56 +70,54 @@ func (blocked) Im2Col(g tensor.Conv2DGeom, cols *tensor.Tensor, x []float64) {
 	g.Im2ColInto(cols, x)
 }
 
-// Conv2D implements Backend with the sparse direct convolution in
-// output-channel tiles. Each tile's weight rows are transposed once into a
-// p-major panel carved from the cols workspace — one pack amortized over
-// every sample of the batch — and each sample makes an input-stationary pass
-// that skips its exactly-zero activations. Without a workspace (or with one
-// too narrow to hold a panel) the per-sample walk packs on the stack instead;
-// both paths are bit-identical.
+// Conv2D implements Backend, choosing the loop from the geometry. Strided
+// convolutions lower each sample through im2col into cols and run the
+// register-tiled matmul over output-channel rows, then add the bias — the
+// scalar sequence element for element. All others run the sparse direct
+// convolution in output-channel tiles: each tile's weight rows are
+// transposed once into a p-major panel carved from cols — one pack
+// amortized over every sample of the batch — and each sample makes an
+// input-stationary pass that skips its exactly-zero activations. A panel of
+// lanes channels needs lanes·ColRows floats, so tiles are at most ColCols
+// channels wide. Both paths are bit-identical to scalar.
 func (blocked) Conv2D(g tensor.Conv2DGeom, outC int, dst, x, w *tensor.Tensor, bias []float64, cols *tensor.Tensor) {
 	conv2DCheck(g, outC, dst, x, w, bias)
-	b := x.Shape[0]
-	sampleIn := g.InC * g.InH * g.InW
-	hw := g.OutH * g.OutW
-	sampleOut := outC * hw
-	if cols == nil || g.ColCols() < 8 {
-		for bi := 0; bi < b; bi++ {
-			convSampleBlocked(g, outC, dst.Data[bi*sampleOut:(bi+1)*sampleOut],
-				x.Data[bi*sampleIn:(bi+1)*sampleIn], w.Data, bias)
-		}
+	if g.Stride > 1 {
+		convLowered(g, outC, dst.Data, x.Data, w.Data, bias, cols)
 		return
 	}
-	kr := g.ColRows()
-	wpk := cols.Data
-	oc := 0
-	for ; oc+8 <= outC; oc += 8 {
-		packPanel(w.Data[oc*kr:(oc+8)*kr], kr, 8, wpk)
-		for bi := 0; bi < b; bi++ {
-			convSP8(g, dst.Data[bi*sampleOut+oc*hw:bi*sampleOut+(oc+8)*hw],
-				x.Data[bi*sampleIn:(bi+1)*sampleIn], wpk, bias[oc:oc+8], hw)
+	b := x.Shape[0]
+	kr, hw := g.ColRows(), g.ColCols()
+	j := pjob{kind: jobConvTile, units: b, cd: dst.Data, ad: x.Data, bd: w.Data, bias: bias, g: g, outC: outC, pk: cols.Data}
+	for oc := 0; oc < outC; oc += j.lanes {
+		j.oc, j.lanes = oc, tileLanes(min(outC-oc, hw))
+		if j.lanes > 1 {
+			packPanel(w.Data[oc*kr:(oc+j.lanes)*kr], kr, j.lanes, j.pk)
 		}
+		dispatch(&j, b*j.lanes*kr*hw)
 	}
-	if oc+4 <= outC {
-		packPanel(w.Data[oc*kr:(oc+4)*kr], kr, 4, wpk)
-		for bi := 0; bi < b; bi++ {
-			convSP4(g, dst.Data[bi*sampleOut+oc*hw:bi*sampleOut+(oc+4)*hw],
-				x.Data[bi*sampleIn:(bi+1)*sampleIn], wpk, bias[oc:oc+4], hw)
-		}
-		oc += 4
+}
+
+// convLowered is the strided convolution: per sample, im2col into the cols
+// workspace, then out = w·cols through the register-tiled matmul rows (the
+// scalar conv's weight zero-skip and ascending-p order per element), with
+// the bias broadcast over spatial positions after every k-sum is complete.
+func convLowered(g tensor.Conv2DGeom, outC int, dst, x, wd, bias []float64, cols *tensor.Tensor) {
+	kr, hw := g.ColRows(), g.ColCols()
+	sampleIn := g.InC * g.InH * g.InW
+	sampleOut := outC * hw
+	b := len(x) / sampleIn
+	for bi := 0; bi < b; bi++ {
+		g.Im2ColInto(cols, x[bi*sampleIn:(bi+1)*sampleIn])
+		dispatch(&pjob{kind: jobMatMul, units: outC, cd: dst[bi*sampleOut : (bi+1)*sampleOut],
+			ad: wd, bd: cols.Data, m: outC, k: kr, n: hw}, outC*kr*hw)
 	}
-	if oc+2 <= outC {
-		packPanel(w.Data[oc*kr:(oc+2)*kr], kr, 2, wpk)
-		for bi := 0; bi < b; bi++ {
-			convSP2(g, dst.Data[bi*sampleOut+oc*hw:bi*sampleOut+(oc+2)*hw],
-				x.Data[bi*sampleIn:(bi+1)*sampleIn], wpk, bias[oc:oc+2], hw)
-		}
-		oc += 2
-	}
-	if oc < outC {
-		for bi := 0; bi < b; bi++ {
-			convSP1(g, dst.Data[bi*sampleOut+oc*hw:bi*sampleOut+(oc+1)*hw],
-				x.Data[bi*sampleIn:(bi+1)*sampleIn], w.Data[oc*kr:(oc+1)*kr], bias[oc], hw)
+	for bi := 0; bi < b; bi++ {
+		for oc, bv := range bias {
+			seg := dst[bi*sampleOut+oc*hw : bi*sampleOut+(oc+1)*hw]
+			for i := range seg {
+				seg[i] += bv
+			}
 		}
 	}
 }
@@ -349,71 +346,47 @@ func linearRowBlocked(crow, arow, wd, bias []float64, k, n int) {
 	}
 }
 
-// panelMaxKR bounds the kernel-position count (inC·kh·kw) for which the
-// per-sample walk packs weight panels on the stack; larger geometries fall
-// back to the unpacked single-channel kernel.
-const panelMaxKR = 512
+// tileLanes returns the width of the next output-channel tile when rem
+// channels remain: eight while they last, then one tile each of four, two
+// and one for the remainder.
+func tileLanes(rem int) int {
+	switch {
+	case rem >= 8:
+		return 8
+	case rem >= 4:
+		return 4
+	case rem >= 2:
+		return 2
+	}
+	return 1
+}
 
-// convSampleBlocked computes the sparse direct convolution of one sample:
-// out ([outC, OutH, OutW] flat) from xs ([InC, InH, InW] flat) and wd
-// ([outC, inC*kh*kw] flat). Each eight- (then four-, two-) channel tile packs
-// its weight rows into a stack-resident p-major panel and runs the same
-// scatter kernels as the batched path, so callers without a cols workspace —
-// the parallel backend's per-sample units, plans whose output map is too
-// narrow to hold a panel — lose only the cross-batch pack amortization.
-func convSampleBlocked(g tensor.Conv2DGeom, outC int, out, xs, wd, bias []float64) {
+// convTile runs the scatter kernel for one tile of lanes output channels of
+// one sample: out holds the tile's channels, wpk its packed panel, and wrow
+// the first channel's unpacked weight row (read by the one-lane kernel,
+// which needs no panel).
+func convTile(g tensor.Conv2DGeom, lanes int, out, xs, wpk, wrow, bias []float64) {
 	hw := g.OutH * g.OutW
-	kr := g.ColRows()
-	if kr > panelMaxKR {
-		for oc := 0; oc < outC; oc++ {
-			convSP1(g, out[oc*hw:(oc+1)*hw], xs, wd[oc*kr:(oc+1)*kr], bias[oc], hw)
-		}
-		return
-	}
-	var panel [8 * panelMaxKR]float64
-	oc := 0
-	for ; oc+8 <= outC; oc += 8 {
-		wpk := panel[: 8*kr : 8*kr]
-		packPanel(wd[oc*kr:(oc+8)*kr], kr, 8, wpk)
-		convSP8(g, out[oc*hw:(oc+8)*hw], xs, wpk, bias[oc:oc+8], hw)
-	}
-	if oc+4 <= outC {
-		wpk := panel[: 4*kr : 4*kr]
-		packPanel(wd[oc*kr:(oc+4)*kr], kr, 4, wpk)
-		convSP4(g, out[oc*hw:(oc+4)*hw], xs, wpk, bias[oc:oc+4], hw)
-		oc += 4
-	}
-	if oc+2 <= outC {
-		wpk := panel[: 2*kr : 2*kr]
-		packPanel(wd[oc*kr:(oc+2)*kr], kr, 2, wpk)
-		convSP2(g, out[oc*hw:(oc+2)*hw], xs, wpk, bias[oc:oc+2], hw)
-		oc += 2
-	}
-	if oc < outC {
-		convSP1(g, out[oc*hw:(oc+1)*hw], xs, wd[oc*kr:(oc+1)*kr], bias[oc], hw)
+	switch lanes {
+	case 8:
+		convSP8(g, out, xs, wpk, bias, hw)
+	case 4:
+		convSP4(g, out, xs, wpk, bias, hw)
+	case 2:
+		convSP2(g, out, xs, wpk, bias, hw)
+	default:
+		convSP1(g, out, xs, wrow, bias[0], hw)
 	}
 }
 
 // outSpan returns the inclusive output-coordinate range [lo, hi] reached by
-// padded input coordinate v (= in + pad) through a kernel of extent k over n
-// outputs: output o covers v via kernel offset v-stride·o, valid when that
+// padded input coordinate v (= in + pad) through a stride-1 kernel of extent
+// k over n outputs: output o covers v via kernel offset v-o, valid when that
 // offset lies in [0, k). Iterating o from hi down to lo walks the kernel
 // offsets in ascending order, which is what keeps per-element accumulation in
 // im2col row order. An empty range comes back with lo > hi.
-func outSpan(v, k, n, stride int) (lo, hi int) {
-	if stride == 1 {
-		lo, hi = v-k+1, v
-	} else {
-		// ceil((v-k+1)/stride): exact for positive numerators; negative
-		// ones truncate toward zero but land at ≤ 0 and clamp below.
-		lo, hi = (v-k+stride)/stride, v/stride
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n-1 {
-		hi = n - 1
-	}
+func outSpan(v, k, n int) (lo, hi int) {
+	lo, hi = max(v-k+1, 0), min(v, n-1)
 	return lo, hi
 }
 
@@ -430,7 +403,8 @@ func outSpan(v, k, n, stride int) (lo, hi int) {
 // arrive in ascending (c, ii, jj) — which is ascending im2col p order — each
 // adding one term to an accumulator that starts at +0 and can never become
 // -0, so after the trailing bias pass the result is bitwise the im2col +
-// matmul + bias sequence for finite inputs. Any stride.
+// matmul + bias sequence for finite inputs. Stride 1 only: Conv2D lowers
+// strided convolutions through im2col instead.
 func convSP8(g tensor.Conv2DGeom, out, xs, wpk, bias []float64, hw int) {
 	for i := range out {
 		out[i] = 0
@@ -438,14 +412,13 @@ func convSP8(g tensor.Conv2DGeom, out, xs, wpk, bias []float64, hw int) {
 	o0, o1, o2, o3 := out[0*hw:1*hw], out[1*hw:2*hw], out[2*hw:3*hw], out[3*hw:4*hw]
 	o4, o5, o6, o7 := out[4*hw:5*hw], out[5*hw:6*hw], out[6*hw:7*hw], out[7*hw:8*hw]
 	ihw := g.InH * g.InW
-	s := g.Stride
 	kw8 := g.KW * 8
 	for c := 0; c < g.InC; c++ {
 		plane := xs[c*ihw : (c+1)*ihw]
 		cbase := c * g.KH * kw8
 		for ii := 0; ii < g.InH; ii++ {
 			a := ii + g.Pad
-			oiMin, oiMax := outSpan(a, g.KH, g.OutH, s)
+			oiMin, oiMax := outSpan(a, g.KH, g.OutH)
 			if oiMax < oiMin {
 				continue
 			}
@@ -455,7 +428,7 @@ func convSP8(g tensor.Conv2DGeom, out, xs, wpk, bias []float64, hw int) {
 					continue
 				}
 				b := jj + g.Pad
-				ojMin, ojMax := outSpan(b, g.KW, g.OutW, s)
+				ojMin, ojMax := outSpan(b, g.KW, g.OutW)
 				if ojMax < ojMin {
 					continue
 				}
@@ -466,31 +439,29 @@ func convSP8(g tensor.Conv2DGeom, out, xs, wpk, bias []float64, hw int) {
 				// adjacent too, so one sixteen-wide panel load feeds
 				// both and the loop overhead halves.
 				for oi := oiMax; oi >= oiMin; oi-- {
-					wb := cbase + (a-s*oi)*kw8 + (b-s*ojMax)*8
+					wb := cbase + (a-oi)*kw8 + (b-ojMax)*8
 					q := oi*g.OutW + ojMax
 					oj := ojMax
-					if s == 1 {
-						for ; oj > ojMin; oj -= 2 {
-							wq := wpk[wb : wb+16]
-							o0[q] += wq[0] * xv
-							o1[q] += wq[1] * xv
-							o2[q] += wq[2] * xv
-							o3[q] += wq[3] * xv
-							o4[q] += wq[4] * xv
-							o5[q] += wq[5] * xv
-							o6[q] += wq[6] * xv
-							o7[q] += wq[7] * xv
-							o0[q-1] += wq[8] * xv
-							o1[q-1] += wq[9] * xv
-							o2[q-1] += wq[10] * xv
-							o3[q-1] += wq[11] * xv
-							o4[q-1] += wq[12] * xv
-							o5[q-1] += wq[13] * xv
-							o6[q-1] += wq[14] * xv
-							o7[q-1] += wq[15] * xv
-							wb += 16
-							q -= 2
-						}
+					for ; oj > ojMin; oj -= 2 {
+						wq := wpk[wb : wb+16]
+						o0[q] += wq[0] * xv
+						o1[q] += wq[1] * xv
+						o2[q] += wq[2] * xv
+						o3[q] += wq[3] * xv
+						o4[q] += wq[4] * xv
+						o5[q] += wq[5] * xv
+						o6[q] += wq[6] * xv
+						o7[q] += wq[7] * xv
+						o0[q-1] += wq[8] * xv
+						o1[q-1] += wq[9] * xv
+						o2[q-1] += wq[10] * xv
+						o3[q-1] += wq[11] * xv
+						o4[q-1] += wq[12] * xv
+						o5[q-1] += wq[13] * xv
+						o6[q-1] += wq[14] * xv
+						o7[q-1] += wq[15] * xv
+						wb += 16
+						q -= 2
 					}
 					for ; oj >= ojMin; oj-- {
 						wq := wpk[wb : wb+8]
@@ -502,7 +473,7 @@ func convSP8(g tensor.Conv2DGeom, out, xs, wpk, bias []float64, hw int) {
 						o5[q] += wq[5] * xv
 						o6[q] += wq[6] * xv
 						o7[q] += wq[7] * xv
-						wb += 8 * s
+						wb += 8
 						q--
 					}
 				}
@@ -525,14 +496,13 @@ func convSP4(g tensor.Conv2DGeom, out, xs, wpk, bias []float64, hw int) {
 	}
 	o0, o1, o2, o3 := out[0*hw:1*hw], out[1*hw:2*hw], out[2*hw:3*hw], out[3*hw:4*hw]
 	ihw := g.InH * g.InW
-	s := g.Stride
 	kw4 := g.KW * 4
 	for c := 0; c < g.InC; c++ {
 		plane := xs[c*ihw : (c+1)*ihw]
 		cbase := c * g.KH * kw4
 		for ii := 0; ii < g.InH; ii++ {
 			a := ii + g.Pad
-			oiMin, oiMax := outSpan(a, g.KH, g.OutH, s)
+			oiMin, oiMax := outSpan(a, g.KH, g.OutH)
 			if oiMax < oiMin {
 				continue
 			}
@@ -542,28 +512,26 @@ func convSP4(g tensor.Conv2DGeom, out, xs, wpk, bias []float64, hw int) {
 					continue
 				}
 				b := jj + g.Pad
-				ojMin, ojMax := outSpan(b, g.KW, g.OutW, s)
+				ojMin, ojMax := outSpan(b, g.KW, g.OutW)
 				if ojMax < ojMin {
 					continue
 				}
 				for oi := oiMax; oi >= oiMin; oi-- {
-					wb := cbase + (a-s*oi)*kw4 + (b-s*ojMax)*4
+					wb := cbase + (a-oi)*kw4 + (b-ojMax)*4
 					q := oi*g.OutW + ojMax
 					oj := ojMax
-					if s == 1 {
-						for ; oj > ojMin; oj -= 2 {
-							wq := wpk[wb : wb+8]
-							o0[q] += wq[0] * xv
-							o1[q] += wq[1] * xv
-							o2[q] += wq[2] * xv
-							o3[q] += wq[3] * xv
-							o0[q-1] += wq[4] * xv
-							o1[q-1] += wq[5] * xv
-							o2[q-1] += wq[6] * xv
-							o3[q-1] += wq[7] * xv
-							wb += 8
-							q -= 2
-						}
+					for ; oj > ojMin; oj -= 2 {
+						wq := wpk[wb : wb+8]
+						o0[q] += wq[0] * xv
+						o1[q] += wq[1] * xv
+						o2[q] += wq[2] * xv
+						o3[q] += wq[3] * xv
+						o0[q-1] += wq[4] * xv
+						o1[q-1] += wq[5] * xv
+						o2[q-1] += wq[6] * xv
+						o3[q-1] += wq[7] * xv
+						wb += 8
+						q -= 2
 					}
 					for ; oj >= ojMin; oj-- {
 						wq := wpk[wb : wb+4]
@@ -571,7 +539,7 @@ func convSP4(g tensor.Conv2DGeom, out, xs, wpk, bias []float64, hw int) {
 						o1[q] += wq[1] * xv
 						o2[q] += wq[2] * xv
 						o3[q] += wq[3] * xv
-						wb += 4 * s
+						wb += 4
 						q--
 					}
 				}
@@ -593,14 +561,13 @@ func convSP2(g tensor.Conv2DGeom, out, xs, wpk, bias []float64, hw int) {
 	}
 	o0, o1 := out[0*hw:1*hw], out[1*hw:2*hw]
 	ihw := g.InH * g.InW
-	s := g.Stride
 	kw2 := g.KW * 2
 	for c := 0; c < g.InC; c++ {
 		plane := xs[c*ihw : (c+1)*ihw]
 		cbase := c * g.KH * kw2
 		for ii := 0; ii < g.InH; ii++ {
 			a := ii + g.Pad
-			oiMin, oiMax := outSpan(a, g.KH, g.OutH, s)
+			oiMin, oiMax := outSpan(a, g.KH, g.OutH)
 			if oiMax < oiMin {
 				continue
 			}
@@ -610,16 +577,16 @@ func convSP2(g tensor.Conv2DGeom, out, xs, wpk, bias []float64, hw int) {
 					continue
 				}
 				b := jj + g.Pad
-				ojMin, ojMax := outSpan(b, g.KW, g.OutW, s)
+				ojMin, ojMax := outSpan(b, g.KW, g.OutW)
 				if ojMax < ojMin {
 					continue
 				}
 				for oi := oiMax; oi >= oiMin; oi-- {
-					wkbase := cbase + (a-s*oi)*kw2
+					wkbase := cbase + (a-oi)*kw2
 					obase := oi * g.OutW
 					for oj := ojMax; oj >= ojMin; oj-- {
 						q := obase + oj
-						wb := wkbase + (b-s*oj)*2
+						wb := wkbase + (b-oj)*2
 						wq := wpk[wb : wb+2]
 						o0[q] += wq[0] * xv
 						o1[q] += wq[1] * xv
@@ -644,13 +611,12 @@ func convSP1(g tensor.Conv2DGeom, out, xs, wrow []float64, bv float64, hw int) {
 		out[i] = 0
 	}
 	ihw := g.InH * g.InW
-	s := g.Stride
 	for c := 0; c < g.InC; c++ {
 		plane := xs[c*ihw : (c+1)*ihw]
 		cbase := c * g.KH * g.KW
 		for ii := 0; ii < g.InH; ii++ {
 			a := ii + g.Pad
-			oiMin, oiMax := outSpan(a, g.KH, g.OutH, s)
+			oiMin, oiMax := outSpan(a, g.KH, g.OutH)
 			if oiMax < oiMin {
 				continue
 			}
@@ -660,15 +626,15 @@ func convSP1(g tensor.Conv2DGeom, out, xs, wrow []float64, bv float64, hw int) {
 					continue
 				}
 				b := jj + g.Pad
-				ojMin, ojMax := outSpan(b, g.KW, g.OutW, s)
+				ojMin, ojMax := outSpan(b, g.KW, g.OutW)
 				if ojMax < ojMin {
 					continue
 				}
 				for oi := oiMax; oi >= oiMin; oi-- {
-					wkbase := cbase + (a-s*oi)*g.KW
+					wkbase := cbase + (a-oi)*g.KW
 					obase := oi * g.OutW
 					for oj := ojMax; oj >= ojMin; oj-- {
-						out[obase+oj] += wrow[wkbase+b-s*oj] * xv
+						out[obase+oj] += wrow[wkbase+b-oj] * xv
 					}
 				}
 			}

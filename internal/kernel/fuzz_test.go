@@ -9,12 +9,12 @@ func FuzzParse(f *testing.F) {
 	f.Add("scalar")
 	f.Add("blocked")
 	f.Add("parallel:workers=4")
-	f.Add("parallel:workers=0")
+	f.Add("blocked:workers=0")
 	f.Add("parallel")
 	f.Add("scalar:extra=1")
-	f.Add("parallel:workers=-3")
+	f.Add("blocked:workers=-3")
 	f.Add("parallel:workers=2.5")
-	f.Add("parallel:workers=NaN")
+	f.Add("blocked:workers=NaN")
 	f.Add("parallel:workers=+Inf")
 	f.Fuzz(func(t *testing.T, spec string) {
 		k, err := Parse(spec)

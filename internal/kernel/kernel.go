@@ -10,19 +10,19 @@
 // A Backend implements the dense primitives the plan tier needs: the three
 // matmul orientations (plain, Aᵀ, Bᵀ) with accumulate variants, a fused
 // bias+matmul for fully connected layers, im2col lowering, and a batched
-// (optionally im2col-free) convolution. Three backends ship:
+// (optionally im2col-free) convolution. Two backends ship:
 //
-//   - "scalar": today's single-threaded loops, extracted verbatim from
-//     package tensor and internal/nn. This is the default everywhere and the
-//     reference the other backends are pinned against.
-//   - "blocked": register-tiled matmul loops and a sparse direct
-//     convolution that skips the exact zeros ReLU and quantization leave in
-//     hidden feature maps. Same accumulation order per output element, so
-//     results are bit-identical to scalar.
-//   - "parallel": batch-row parallelism over a bounded shared worker pool,
-//     with the blocked loop bodies inside each unit of work. Batch rows are
-//     written to disjoint destination regions, so results are bit-identical
-//     to scalar at any worker count.
+//   - "blocked", the default everywhere: register-tiled matmul loops, a
+//     sparse direct convolution that skips the exact zeros ReLU and
+//     quantization leave in hidden feature maps, and im2col lowering for
+//     strided convolutions. Each call splits into independent units
+//     (destination rows, batch samples) that a process-wide pool of
+//     NumCPU-1 goroutines fans across idle cores when it is free; otherwise
+//     they run inline. Same accumulation order per output element and
+//     disjoint output regions per unit, so results are bit-identical to
+//     scalar under any scheduling.
+//   - "scalar": the single-threaded loops extracted verbatim from package
+//     tensor and internal/nn — the reference blocked is pinned against.
 //
 // # Determinism contract
 //
@@ -94,7 +94,7 @@ type Backend interface {
 	UsesIm2Col() bool
 }
 
-// Default returns the default backend, scalar — the reference loops every
-// other backend is pinned against. It is the backend used anywhere no
-// explicit selection is threaded through.
-func Default() Backend { return scalarBackend }
+// Default returns the default backend, blocked. It is the backend used
+// anywhere no explicit selection is threaded through; scalar, the reference
+// it is pinned against, is selected by name.
+func Default() Backend { return blocked{} }

@@ -38,20 +38,24 @@ func bitsEqual(a, b *tensor.Tensor) (int, bool) {
 	return 0, true
 }
 
-// variants returns the non-scalar backends under test, including parallel at
-// 1 worker and at all CPUs.
-func variants(t *testing.T) []Backend {
-	t.Helper()
-	specs := []string{"blocked", "parallel:workers=1", "parallel"}
-	out := make([]Backend, 0, len(specs))
-	for _, s := range specs {
-		b, err := Parse(s)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", s, err)
-		}
-		out = append(out, b)
+// schedules are the two ends of blocked's scheduling space, which must agree
+// bit for bit: "pool" sends every multi-unit job through the shared pool,
+// however small, and "inline" holds the pool busy so every job runs on the
+// calling goroutine.
+var schedules = []string{"pool", "inline"}
+
+// withSchedule runs f under the named schedule.
+func withSchedule(sched string, f func()) {
+	switch sched {
+	case "pool":
+		old := minParallelFlops
+		minParallelFlops = 0
+		defer func() { minParallelFlops = old }()
+	case "inline":
+		sharedPool.mu.Lock()
+		defer sharedPool.mu.Unlock()
 	}
-	return out
+	f()
 }
 
 func TestMatMulVariantsBitIdentical(t *testing.T) {
@@ -70,12 +74,12 @@ func TestMatMulVariantsBitIdentical(t *testing.T) {
 			fill(seed, r)
 			want := seed.Clone()
 			tensor.MatMulInto(want, a, b, acc)
-			for _, back := range variants(t) {
+			for _, sched := range schedules {
 				got := seed.Clone()
-				back.MatMul(got, a, b, acc)
+				withSchedule(sched, func() { blocked{}.MatMul(got, a, b, acc) })
 				if i, ok := bitsEqual(want, got); !ok {
-					t.Fatalf("%s MatMul %dx%dx%d acc=%v: bit mismatch at %d: %g vs %g",
-						back.Spec(), sz.m, sz.k, sz.n, acc, i, want.Data[i], got.Data[i])
+					t.Fatalf("blocked/%s MatMul %dx%dx%d acc=%v: bit mismatch at %d: %g vs %g",
+						sched, sz.m, sz.k, sz.n, acc, i, want.Data[i], got.Data[i])
 				}
 			}
 		}
@@ -97,12 +101,12 @@ func TestMatMulTransAVariantsBitIdentical(t *testing.T) {
 			fill(seed, r)
 			want := seed.Clone()
 			tensor.MatMulTransAInto(want, a, b, acc)
-			for _, back := range variants(t) {
+			for _, sched := range schedules {
 				got := seed.Clone()
-				back.MatMulTransA(got, a, b, acc)
+				withSchedule(sched, func() { blocked{}.MatMulTransA(got, a, b, acc) })
 				if i, ok := bitsEqual(want, got); !ok {
-					t.Fatalf("%s MatMulTransA %dx%dx%d acc=%v: bit mismatch at %d",
-						back.Spec(), sz.m, sz.k, sz.n, acc, i)
+					t.Fatalf("blocked/%s MatMulTransA %dx%dx%d acc=%v: bit mismatch at %d",
+						sched, sz.m, sz.k, sz.n, acc, i)
 				}
 			}
 		}
@@ -124,12 +128,12 @@ func TestMatMulTransBVariantsBitIdentical(t *testing.T) {
 			fill(seed, r)
 			want := seed.Clone()
 			tensor.MatMulTransBInto(want, a, b, acc)
-			for _, back := range variants(t) {
+			for _, sched := range schedules {
 				got := seed.Clone()
-				back.MatMulTransB(got, a, b, acc)
+				withSchedule(sched, func() { blocked{}.MatMulTransB(got, a, b, acc) })
 				if i, ok := bitsEqual(want, got); !ok {
-					t.Fatalf("%s MatMulTransB %dx%dx%d acc=%v: bit mismatch at %d",
-						back.Spec(), sz.m, sz.k, sz.n, acc, i)
+					t.Fatalf("blocked/%s MatMulTransB %dx%dx%d acc=%v: bit mismatch at %d",
+						sched, sz.m, sz.k, sz.n, acc, i)
 				}
 			}
 		}
@@ -138,7 +142,7 @@ func TestMatMulTransBVariantsBitIdentical(t *testing.T) {
 
 // TestLinearFusedMatchesUnfused pins the fused bias+matmul against the
 // historical two-pass sequence (matmul into a zeroed destination, then a
-// bias sweep) for every backend including scalar.
+// bias sweep) for scalar and for blocked under both schedules.
 func TestLinearFusedMatchesUnfused(t *testing.T) {
 	r := rng.New(17)
 	sizes := []struct{ m, k, n int }{
@@ -165,21 +169,25 @@ func TestLinearFusedMatchesUnfused(t *testing.T) {
 				row[j] += bias[j]
 			}
 		}
-		backends := append([]Backend{Default()}, variants(t)...)
-		for _, back := range backends {
+		for _, run := range []struct {
+			back  Backend
+			sched string
+		}{{scalar{}, ""}, {blocked{}, "pool"}, {blocked{}, "inline"}} {
 			got := tensor.New(sz.m, sz.n)
 			fill(got, r) // dst may hold garbage on entry
-			back.Linear(got, x, w, bias)
+			withSchedule(run.sched, func() { run.back.Linear(got, x, w, bias) })
 			if i, ok := bitsEqual(want, got); !ok {
-				t.Fatalf("%s Linear %dx%dx%d: bit mismatch at %d: %g vs %g",
-					back.Spec(), sz.m, sz.k, sz.n, i, want.Data[i], got.Data[i])
+				t.Fatalf("%s/%s Linear %dx%dx%d: bit mismatch at %d: %g vs %g",
+					run.back.Name(), run.sched, sz.m, sz.k, sz.n, i, want.Data[i], got.Data[i])
 			}
 		}
 	}
 }
 
 // convGeoms covers stride-1 and strided convolutions, 1x1 and wide kernels,
-// zero and fat padding, and geometries where padding dominates entire rows.
+// zero and fat padding, geometries where padding dominates entire rows, an
+// output map too small to hold a packed panel, and an output-channel count
+// that takes every tile width (8+4+2+1).
 var convGeoms = []struct {
 	inC, inH, inW, outC, kh, kw, stride, pad int
 }{
@@ -193,6 +201,8 @@ var convGeoms = []struct {
 	{4, 16, 16, 8, 3, 3, 1, 1},
 	{1, 4, 4, 2, 3, 3, 1, 2},
 	{2, 5, 3, 3, 3, 3, 2, 1},
+	{3, 2, 2, 5, 3, 3, 1, 1},
+	{2, 6, 6, 15, 3, 3, 1, 1},
 }
 
 // referenceConv is the historical conv forward: im2col, MatMulInto, bias
@@ -223,7 +233,7 @@ func TestConv2DVariantsBitIdentical(t *testing.T) {
 	r := rng.New(23)
 	for _, cg := range convGeoms {
 		g := tensor.NewConv2DGeom(cg.inC, cg.inH, cg.inW, cg.kh, cg.kw, cg.stride, cg.pad)
-		for _, batch := range []int{1, 3} {
+		for _, batch := range []int{1, 3, 7} {
 			x := tensor.New(batch, g.InC, g.InH, g.InW)
 			w := tensor.New(cg.outC, g.ColRows())
 			fill(x, r)
@@ -235,79 +245,75 @@ func TestConv2DVariantsBitIdentical(t *testing.T) {
 			want := tensor.New(batch, cg.outC, g.OutH, g.OutW)
 			referenceConv(g, cg.outC, want, x, w, bias)
 			cols := tensor.New(g.ColRows(), g.ColCols())
-			backends := append([]Backend{Default()}, variants(t)...)
-			for _, back := range backends {
+			check := func(name string, conv func(got *tensor.Tensor)) {
+				t.Helper()
 				got := tensor.New(batch, cg.outC, g.OutH, g.OutW)
 				fill(got, r)
-				var ws *tensor.Tensor
-				if back.UsesIm2Col() {
-					ws = cols
-				}
-				back.Conv2D(g, cg.outC, got, x, w, bias, ws)
+				conv(got)
 				if i, ok := bitsEqual(want, got); !ok {
 					t.Fatalf("%s Conv2D %+v batch=%d: bit mismatch at %d: %g vs %g",
-						back.Spec(), cg, batch, i, want.Data[i], got.Data[i])
+						name, cg, batch, i, want.Data[i], got.Data[i])
 				}
+			}
+			check("scalar", func(got *tensor.Tensor) { scalar{}.Conv2D(g, cg.outC, got, x, w, bias, cols) })
+			for _, sched := range schedules {
+				check("blocked/"+sched, func(got *tensor.Tensor) {
+					withSchedule(sched, func() { blocked{}.Conv2D(g, cg.outC, got, x, w, bias, cols) })
+				})
 			}
 		}
 	}
 }
 
-// TestParallelConcurrentCallers drives the shared pool from many goroutines
-// at once: contended dispatches fall back to the serial path, and every
+// TestParallelConcurrentCallers drives blocked's shared pool from many
+// goroutines at once, stride 1 and strided, each caller with its own
+// workspace: contended dispatches fall back to the inline path, and every
 // caller must still produce bit-identical results.
 func TestParallelConcurrentCallers(t *testing.T) {
-	back, err := Parse("parallel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := tensor.NewConv2DGeom(3, 16, 16, 3, 3, 1, 1)
-	const outC = 8
-	r := rng.New(31)
-	x := tensor.New(4, g.InC, g.InH, g.InW)
-	w := tensor.New(outC, g.ColRows())
-	fill(x, r)
-	fill(w, r)
-	bias := make([]float64, outC)
-	for i := range bias {
-		bias[i] = r.Gauss(0, 1)
-	}
-	want := tensor.New(4, outC, g.OutH, g.OutW)
-	referenceConv(g, outC, want, x, w, bias)
+	back := Default()
+	for _, stride := range []int{1, 2} {
+		g := tensor.NewConv2DGeom(3, 16, 16, 3, 3, stride, 1)
+		const outC = 8
+		r := rng.New(31)
+		x := tensor.New(4, g.InC, g.InH, g.InW)
+		w := tensor.New(outC, g.ColRows())
+		fill(x, r)
+		fill(w, r)
+		bias := make([]float64, outC)
+		for i := range bias {
+			bias[i] = r.Gauss(0, 1)
+		}
+		want := tensor.New(4, outC, g.OutH, g.OutW)
+		referenceConv(g, outC, want, x, w, bias)
 
-	const callers = 8
-	outs := make([]*tensor.Tensor, callers)
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		outs[c] = tensor.New(4, outC, g.OutH, g.OutW)
-		wg.Add(1)
-		go func(dst *tensor.Tensor) {
-			defer wg.Done()
-			for iter := 0; iter < 20; iter++ {
-				back.Conv2D(g, outC, dst, x, w, bias, nil)
+		const callers = 8
+		outs := make([]*tensor.Tensor, callers)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			outs[c] = tensor.New(4, outC, g.OutH, g.OutW)
+			wg.Add(1)
+			go func(dst, cols *tensor.Tensor) {
+				defer wg.Done()
+				for iter := 0; iter < 20; iter++ {
+					back.Conv2D(g, outC, dst, x, w, bias, cols)
+				}
+			}(outs[c], tensor.New(g.ColRows(), g.ColCols()))
+		}
+		wg.Wait()
+		for c, got := range outs {
+			if i, ok := bitsEqual(want, got); !ok {
+				t.Fatalf("stride %d caller %d: bit mismatch at %d", stride, c, i)
 			}
-		}(outs[c])
-	}
-	wg.Wait()
-	for c, got := range outs {
-		if i, ok := bitsEqual(want, got); !ok {
-			t.Fatalf("caller %d: bit mismatch at %d", c, i)
 		}
 	}
 }
 
 func TestRegistry(t *testing.T) {
-	names := Backends.Names()
-	for _, want := range []string{"scalar", "blocked", "parallel"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("Backends.Names() = %v, missing %q", names, want)
-		}
+	if names := strings.Join(Backends.Names(), ","); names != "blocked,scalar" {
+		t.Fatalf("Backends.Names() = %s, want blocked,scalar", names)
+	}
+	if Default().Spec() != "blocked" {
+		t.Fatalf("Default() = %q, want blocked", Default().Spec())
 	}
 	if err := Backends.Register("", nil); err == nil {
 		t.Fatal("Register with empty name and nil builder should fail")
@@ -315,66 +321,46 @@ func TestRegistry(t *testing.T) {
 	if err := Backends.Register("scalar", func(*registry.Params) (Backend, error) { return Default(), nil }); err == nil {
 		t.Fatal("duplicate Register should fail")
 	}
-	if _, err := Parse("nope"); err == nil || !strings.Contains(err.Error(), "registered") {
-		t.Fatalf("Parse unknown backend: got %v, want listing hint", err)
+	for _, spec := range []string{"nope", "parallel", "parallel:workers=2"} {
+		if _, err := Parse(spec); err == nil || !strings.Contains(err.Error(), "registered") {
+			t.Fatalf("Parse(%q): got %v, want unknown-backend error with listing hint", spec, err)
+		}
 	}
-	if _, err := Parse("parallel:bogus=1"); err == nil {
+	if _, err := Parse("blocked:bogus=1"); err == nil {
 		t.Fatal("unknown parameter should fail")
 	}
-	if _, err := Parse("parallel:workers=1.5"); err == nil {
-		t.Fatal("fractional workers should fail")
-	}
-	if _, err := Parse("parallel:workers"); err == nil {
+	if _, err := Parse("blocked:workers"); err == nil {
 		t.Fatal("parameter without value should fail")
 	}
 }
 
 func TestSpecRoundTrip(t *testing.T) {
-	for _, spec := range []string{"scalar", "blocked", "parallel", "parallel:workers=3"} {
+	for _, spec := range []string{"scalar", "blocked"} {
 		b, err := Parse(spec)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", spec, err)
 		}
-		if b.Spec() != spec {
-			t.Fatalf("Parse(%q).Spec() = %q", spec, b.Spec())
+		if b.Spec() != spec || b.Name() != spec {
+			t.Fatalf("Parse(%q) = %q/%q", spec, b.Name(), b.Spec())
 		}
-		b2, err := Parse(b.Spec())
-		if err != nil {
-			t.Fatalf("re-Parse(%q): %v", b.Spec(), err)
-		}
-		if b2.Spec() != b.Spec() {
-			t.Fatalf("Spec round trip: %q -> %q", b.Spec(), b2.Spec())
-		}
-	}
-	// workers=0 canonicalizes to the bare name (machine-independent spec).
-	b, err := Parse("parallel:workers=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Spec() != "parallel" {
-		t.Fatalf("parallel:workers=0 should render as %q, got %q", "parallel", b.Spec())
 	}
 }
 
 func TestFromFlag(t *testing.T) {
 	b, listing, err := FromFlag("")
-	if err != nil || listing != "" || b == nil || b.Name() != "scalar" {
-		t.Fatalf("FromFlag(\"\") = %v, %q, %v; want scalar default", b, listing, err)
+	if err != nil || listing != "" || b == nil || b.Name() != "blocked" {
+		t.Fatalf("FromFlag(\"\") = %v, %q, %v; want blocked default", b, listing, err)
 	}
 	b, listing, err = FromFlag("list")
-	if err != nil || b != nil {
-		t.Fatalf("FromFlag(list) = %v, %v", b, err)
+	if err != nil || b != nil || listing != "blocked\nscalar" {
+		t.Fatalf("FromFlag(list) = %v, %q, %v", b, listing, err)
 	}
-	for _, want := range []string{"scalar", "blocked", "parallel"} {
-		if !strings.Contains(listing, want) {
-			t.Fatalf("listing %q missing %q", listing, want)
+	if b, _, err = FromFlag(" scalar "); err != nil || b.Name() != "scalar" {
+		t.Fatalf("FromFlag(scalar) = %v, %v", b, err)
+	}
+	for _, spec := range []string{"nope", fmt.Sprintf("parallel:workers=%d", runtime.NumCPU())} {
+		if _, _, err = FromFlag(spec); err == nil {
+			t.Fatalf("FromFlag(%q) should fail", spec)
 		}
-	}
-	if _, _, err = FromFlag("nope"); err == nil {
-		t.Fatal("FromFlag(nope) should fail")
-	}
-	b, _, err = FromFlag(fmt.Sprintf("parallel:workers=%d", runtime.NumCPU()))
-	if err != nil || b.Name() != "parallel" {
-		t.Fatalf("FromFlag(parallel:workers=N) = %v, %v", b, err)
 	}
 }

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"fmt"
 	"strings"
 
 	"swim/internal/registry"
@@ -13,15 +12,15 @@ import (
 var Backends = registry.New[registry.Builder[Backend]]("kernel", "backend")
 
 // Parse builds one backend from a spec string: a registered name optionally
-// followed by colon-separated parameters, e.g. "blocked" or
-// "parallel:workers=4". Every built-in's Spec() round-trips through Parse.
+// followed by colon-separated parameters, e.g. "blocked" or "scalar". Every
+// built-in's Spec() round-trips through Parse.
 func Parse(spec string) (Backend, error) { return registry.Parse(Backends, spec) }
 
 // FromFlag resolves the CLIs' shared -kernel flag convention: the literal
 // "list" requests the registered-backend listing (returned in listing, with
-// no backend); the empty string selects the scalar default; anything else
-// parses as a backend spec. Keeping the convention here means every binary
-// stays in sync when the grammar grows.
+// no backend); the empty string selects Default(), the blocked backend;
+// anything else parses as a backend spec. Keeping the convention here means
+// every binary stays in sync when the grammar grows.
 func FromFlag(spec string) (k Backend, listing string, err error) {
 	switch strings.TrimSpace(spec) {
 	case "list":
@@ -34,16 +33,6 @@ func FromFlag(spec string) (k Backend, listing string, err error) {
 }
 
 func init() {
-	Backends.MustRegister("scalar", func(*registry.Params) (Backend, error) { return scalarBackend, nil })
+	Backends.MustRegister("scalar", func(*registry.Params) (Backend, error) { return scalar{}, nil })
 	Backends.MustRegister("blocked", func(*registry.Params) (Backend, error) { return blocked{}, nil })
-	Backends.MustRegister("parallel", func(p *registry.Params) (Backend, error) {
-		w := p.Get("workers", 0)
-		if err := p.Leftover(); err != nil {
-			return nil, err
-		}
-		if w < 0 || w != float64(int(w)) || w > 1<<16 {
-			return nil, fmt.Errorf("parallel needs integer workers in [0, 65536], 0 = all CPUs (got %g)", w)
-		}
-		return &parallel{workers: int(w)}, nil
-	})
 }

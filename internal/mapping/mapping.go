@@ -481,7 +481,7 @@ func (mp *Mapped) Corrections() []calib.Correction { return mp.corr }
 func (mp *Mapped) SetEvalArena(a *tensor.Arena) { mp.evalArena = a }
 
 // SetKernel selects the kernel backend the compiled evaluation plans route
-// their dense primitives through (nil keeps the scalar default). Backends
+// their dense primitives through (nil keeps kernel.Default()). Backends
 // are bit-identical, so this changes evaluation speed, never results. Call
 // it before the first Accuracy measurement, alongside SetEvalArena.
 func (mp *Mapped) SetKernel(k kernel.Backend) { mp.evalKern = k }

@@ -71,7 +71,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// ForwardInto implements PlanLayer through the default (scalar) backend.
+// ForwardInto implements PlanLayer through kernel.Default(), the blocked
+// backend — the path the training forward pass takes too.
 func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena) {
 	c.ForwardIntoKernel(dst, x, s, kernel.Default())
 }

@@ -46,7 +46,7 @@ type PlanLayer interface {
 // the dense primitives of a kernel.Backend (matmul, fused bias+matmul,
 // convolution). ForwardIntoKernel is ForwardInto with an explicit backend:
 // compiled plans route these layers through the plan's selected backend,
-// while ForwardInto itself always runs the scalar default. Because every
+// while ForwardInto itself always runs kernel.Default(). Because every
 // registered backend is bit-identical to scalar (the package kernel
 // determinism contract), the two entry points produce the same bits for any
 // backend choice — backend selection is an execution hint, never a

@@ -70,7 +70,8 @@ func (l *Linear) OutShape(in []int) ([]int, error) {
 	return []int{in[0], l.Out}, nil
 }
 
-// ForwardInto implements PlanLayer through the default (scalar) backend.
+// ForwardInto implements PlanLayer through kernel.Default(), the blocked
+// backend — the path the training forward pass takes too.
 func (l *Linear) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena) {
 	l.ForwardIntoKernel(dst, x, s, kernel.Default())
 }

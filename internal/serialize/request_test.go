@@ -91,7 +91,7 @@ func TestCanonicalKey(t *testing.T) {
 func TestCanonicalKeyIgnoresKernel(t *testing.T) {
 	a := &RequestRecord{Version: 1, Kind: KindSweep, Workload: "lenet", Seed: 5, Trials: 4}
 	b := &RequestRecord{Version: 1, Kind: KindSweep, Workload: "lenet", Seed: 5, Trials: 4,
-		Kernel: "parallel:workers=4"}
+		Kernel: "scalar"}
 	ka, err := a.CanonicalKey()
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestCanonicalKeyIgnoresKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"kernel":"parallel:workers=4"`) {
+	if !strings.Contains(string(raw), `"kernel":"scalar"`) {
 		t.Fatalf("kernel axis missing from the encoded request: %s", raw)
 	}
 	got, err := DecodeRequest(bytes.NewReader(raw))

@@ -9,7 +9,7 @@ import (
 )
 
 // TestNormalizeKernelCanonical pins the kernel axis's cache contract: specs
-// canonicalize ("scalar" and "" collapse to the default form), the axis is
+// canonicalize ("blocked" and "" collapse to the default form), the axis is
 // excluded from the canonical key, the daemon default fills empty requests,
 // and a malformed spec is rejected at submission.
 func TestNormalizeKernelCanonical(t *testing.T) {
@@ -30,30 +30,29 @@ func TestNormalizeKernelCanonical(t *testing.T) {
 		}
 		return ck
 	}
-	if got := norm("scalar").Kernel; got != "" {
-		t.Errorf(`"scalar" normalized to %q, want the empty default form`, got)
+	if got := norm(" blocked ").Kernel; got != "" {
+		t.Errorf(`"blocked" normalized to %q, want the empty default form`, got)
 	}
-	if got := norm("parallel:workers=0").Kernel; got != "parallel" {
-		t.Errorf(`"parallel:workers=0" normalized to %q, want "parallel"`, got)
+	if got := norm(" scalar").Kernel; got != "scalar" {
+		t.Errorf(`" scalar" normalized to %q, want "scalar"`, got)
 	}
-	if key("") != key("blocked") || key("blocked") != key("parallel:workers=3") {
+	if key("") != key("blocked") || key("blocked") != key("scalar") {
 		t.Error("kernel axis leaked into the canonical key")
 	}
-	if _, err := s.normalize(&serialize.RequestRecord{Kind: serialize.KindSweep, Workload: "test", Kernel: "simd9000"}); err == nil {
-		t.Error("unknown kernel backend accepted")
-	}
-	if _, err := s.normalize(&serialize.RequestRecord{Kind: serialize.KindSweep, Workload: "test", Kernel: "parallel:workers=1.5"}); err == nil {
-		t.Error("fractional worker count accepted")
+	for _, bad := range []string{"simd9000", "parallel", "parallel:workers=2", "blocked:workers=2"} {
+		if _, err := s.normalize(&serialize.RequestRecord{Kind: serialize.KindSweep, Workload: "test", Kernel: bad}); err == nil {
+			t.Errorf("kernel spec %q accepted", bad)
+		}
 	}
 
 	// A daemon started with a default backend applies it to requests that
 	// leave the axis empty — without touching their cache identity.
-	d, _ := newTestServer(t, Config{TotalWorkers: 1, Kernel: "blocked"})
+	d, _ := newTestServer(t, Config{TotalWorkers: 1, Kernel: "scalar"})
 	dn, err := d.normalize(&serialize.RequestRecord{Kind: serialize.KindSweep, Workload: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dn.Kernel != "blocked" {
+	if dn.Kernel != "scalar" {
 		t.Errorf("daemon default not applied: kernel = %q", dn.Kernel)
 	}
 	dk, err := dn.CanonicalKey()
@@ -66,15 +65,15 @@ func TestNormalizeKernelCanonical(t *testing.T) {
 }
 
 // TestServeKernelAxisByteIdentity pins the determinism contract over HTTP: a
-// request computed with the parallel backend returns an envelope
-// byte-identical to the scalar CLI path, and a follow-up request differing
-// only in kernel is answered from the cache (shared canonical key).
+// request computed with the scalar reference backend returns an envelope
+// byte-identical to the default-backend CLI path, and a follow-up request
+// differing only in kernel is answered from the cache (shared canonical key).
 func TestServeKernelAxisByteIdentity(t *testing.T) {
 	_, ts := newTestServer(t, Config{TotalWorkers: 2})
 	req := testRequest(505, "")
-	want := referenceEnvelope(t, req) // scalar, sequential
+	want := referenceEnvelope(t, req) // default backend, sequential
 
-	req.Kernel = "parallel:workers=2"
+	req.Kernel = "scalar"
 	rec, code := submit(t, ts, req)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit code %d", code)
@@ -83,7 +82,7 @@ func TestServeKernelAxisByteIdentity(t *testing.T) {
 		t.Fatalf("job %s (%s)", done.Status, done.Error)
 	}
 	if got := fetchResult(t, ts, rec.ID); !bytes.Equal(got, want) {
-		t.Errorf("parallel-kernel result differs from the scalar CLI path:\nhttp: %s\ncli:  %s", got, want)
+		t.Errorf("scalar-kernel result differs from the default CLI path:\nhttp: %s\ncli:  %s", got, want)
 	}
 
 	req.Kernel = "blocked"
