@@ -3,6 +3,7 @@ package eval_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"swim/internal/eval"
@@ -208,30 +209,158 @@ func TestCompileRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestPlanSteps sanity-checks the compiled step introspection: the flattened
-// ResNet plan must contain residual branch-sum steps and end at the
-// classifier's [B, classes] logits.
+// TestPlanSteps pins the compiled step introspection and the memory win of
+// pointwise folding: every BatchNorm2D/ReLU/QuantAct run rides on the conv,
+// linear or branch sum that produces its input, so ResNet-18 compiles to 31
+// steps (85 unfused) and LeNet to 8 (16 unfused). The folded layers stay
+// visible in StepInfo.Fused, and the plan holds less memory than one buffer
+// per layer would.
 func TestPlanSteps(t *testing.T) {
-	r := rng.New(2)
-	net := models.ResNet18(10, 4, 6, r)
-	plan, err := eval.Compile(net, []int{7, 3, 32, 32}, nil)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
+	for _, tc := range []struct {
+		name           string
+		build          func(r *rng.Source) *nn.Network
+		in             []int
+		steps, unfused int
+		adds           int // residual branch sums
+	}{
+		{"resnet18", func(r *rng.Source) *nn.Network { return models.ResNet18(10, 4, 6, r) }, []int{7, 3, 32, 32}, 31, 85, 8},
+		{"lenet", func(r *rng.Source) *nn.Network { return models.LeNet(10, 4, r) }, []int{7, 1, 28, 28}, 8, 16, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rng.New(2)
+			net := tc.build(r)
+			plan, err := eval.Compile(net, tc.in, nil)
+			if err != nil {
+				t.Fatalf("Compile: %v", err)
+			}
+			steps := plan.Steps()
+			if len(steps) != tc.steps {
+				t.Fatalf("plan has %d steps, want %d", len(steps), tc.steps)
+			}
+			// Unfused, every folded layer was a step with a buffer of the
+			// producer's shape; a branch sum reuses the body's buffer.
+			adds, unfusedSteps, unfusedFloats := 0, 0, 0
+			for _, s := range steps {
+				n := 1
+				for _, d := range s.OutShape {
+					n *= d
+				}
+				owned := len(s.Fused)
+				if s.Name == "+" {
+					adds++
+				} else {
+					owned++
+				}
+				unfusedSteps += 1 + len(s.Fused)
+				unfusedFloats += owned * n
+			}
+			if unfusedSteps != tc.unfused {
+				t.Fatalf("steps and folded layers add up to %d, want %d", unfusedSteps, tc.unfused)
+			}
+			if adds != tc.adds {
+				t.Fatalf("plan has %d branch sums, want %d", adds, tc.adds)
+			}
+			plan.Forward(randomInput(tc.in[0], tc.in[1:], r)) // grow the arena
+			if fp := plan.Footprint(); fp == 0 || fp >= unfusedFloats {
+				t.Fatalf("plan footprint %d floats, want in (0, %d) (unfused step outputs)", fp, unfusedFloats)
+			}
+			if out := plan.OutShape(); len(out) != 2 || out[0] != 7 || out[1] != 10 {
+				t.Fatalf("plan output shape %v, want [7 10]", out)
+			}
+		})
 	}
-	adds := 0
-	for _, s := range plan.Steps() {
-		if s.Name == "+" {
-			adds++
-		}
+}
+
+// randomizeBN gives a batch-norm layer non-trivial frozen statistics.
+func randomizeBN(bn *nn.BatchNorm2D, r *rng.Source) *nn.BatchNorm2D {
+	for c := 0; c < bn.C; c++ {
+		bn.Gamma.Data.Data[c] = r.Gauss(1, 0.3)
+		bn.Beta.Data.Data[c] = r.Gauss(0, 0.3)
+		bn.RunMean.Data[c] = r.Gauss(0, 0.5)
+		bn.RunVar.Data[c] = 0.5 + r.Float64()
 	}
-	if adds != 8 { // four stages x two blocks
-		t.Fatalf("ResNet-18 plan has %d branch sums, want 8", adds)
-	}
-	if out := plan.OutShape(); len(out) != 2 || out[0] != 7 || out[1] != 10 {
-		t.Fatalf("plan output shape %v, want [7 10]", out)
-	}
-	if plan.Footprint() == 0 {
-		t.Fatal("plan reports zero footprint")
+	return bn
+}
+
+// TestPlanFoldingNeverWritesLiveInputs pins the aliasing rule of pointwise
+// folding: a pointwise layer whose input is the input of its Sequential
+// (the caller's x, or a residual body's input that the skip also reads)
+// stays an ordinary step, and only the ones after it fold. Each plan must
+// match the legacy Forward bit for bit and leave x untouched.
+func TestPlanFoldingNeverWritesLiveInputs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(r *rng.Source) *nn.Network
+		in    []int
+		// step names a pointwise-sensitive step and fused what it folds.
+		step, fused string
+	}{
+		{"relu-first", func(r *rng.Source) *nn.Network {
+			return nn.NewNetwork("relu-first", nn.NewSequential("t",
+				nn.NewReLU(),
+				nn.NewQuantAct("q0", 4, 1),
+				nn.NewLinear("fc", 12, 5, r),
+				nn.NewReLU(),
+			), nn.NewSoftmaxCrossEntropy())
+		}, []int{6, 12}, "relu", "[q0]"},
+		{"preact-residual", func(r *rng.Source) *nn.Network {
+			body := nn.NewSequential("blk.body",
+				randomizeBN(nn.NewBatchNorm2D("blk.bn1", 4), r),
+				nn.NewReLU(),
+				nn.NewConv2D("blk.conv1", 4, 6, 6, 4, 3, 3, 1, 1, r),
+				randomizeBN(nn.NewBatchNorm2D("blk.bn2", 4), r),
+				nn.NewReLU(),
+				nn.NewConv2D("blk.conv2", 4, 6, 6, 4, 3, 3, 1, 1, r),
+			)
+			return nn.NewNetwork("preact", nn.NewSequential("t",
+				nn.NewConv2D("stem", 2, 6, 6, 4, 3, 3, 1, 1, r),
+				nn.NewResidual("blk", body, nil),
+				randomizeBN(nn.NewBatchNorm2D("post.bn", 4), r),
+				nn.NewReLU(),
+				nn.NewQuantAct("post.q", 4, 1),
+				nn.NewFlatten(),
+				nn.NewLinear("fc", 4*6*6, 3, r),
+			), nn.NewSoftmaxCrossEntropy())
+		}, []int{5, 2, 6, 6}, "blk.bn1", "[relu]"}, // the skip reads bn1's input
+
+		{"lenet-head", func(r *rng.Source) *nn.Network { return models.LeNet(10, 4, r) }, []int{3, 1, 28, 28}, "fc1", "[relu q3]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rng.New(13)
+			net := tc.build(r)
+			x := randomInput(tc.in[0], tc.in[1:], r)
+			orig := append([]float64(nil), x.Data...)
+			want := net.Forward(x, false)
+			plan, err := eval.Compile(net, x.Shape, nil)
+			if err != nil {
+				t.Fatalf("Compile: %v", err)
+			}
+			found := false
+			for _, s := range plan.Steps() {
+				if s.Name == tc.step {
+					found = true
+					if got := fmt.Sprint(s.Fused); got != tc.fused {
+						t.Fatalf("step %s folds %s, want %s", s.Name, got, tc.fused)
+					}
+				}
+			}
+			if !found {
+				t.Fatalf("no step %s: it was folded onto a live input's producer", tc.step)
+			}
+			for pass := 0; pass < 2; pass++ {
+				got := plan.Forward(x)
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("pass %d: logit [%d] = %v, legacy %v", pass, i, got.Data[i], want.Data[i])
+					}
+				}
+				for i := range orig {
+					if math.Float64bits(x.Data[i]) != math.Float64bits(orig[i]) {
+						t.Fatalf("pass %d: Forward wrote the caller's input at [%d]", pass, i)
+					}
+				}
+			}
+		})
 	}
 }
 

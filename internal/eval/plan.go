@@ -17,10 +17,23 @@
 // heap allocations (pinned by BenchmarkEvalPlan and the
 // allocation-regression CI step).
 //
+// The compiler folds every run of pointwise layers (nn.PointwiseLayer:
+// evaluation-mode BatchNorm2D, ReLU, QuantAct) onto the step that produces
+// their input — a conv, a linear, a residual branch sum, or any other
+// step. Right after that step runs, the run is applied in place on its
+// buffer, one (sample, channel) segment at a time while the segment is hot
+// in L1, so the folded layers own no buffer and cost no extra pass over
+// memory. A run is folded only when its input was produced inside the
+// enclosing Sequential: the input of a Sequential may be the caller's x or
+// a residual's skip operand, which must never be written, so a pointwise
+// layer there stays an ordinary step.
+//
 // Plans are bit-for-bit equivalent to the legacy evaluation-mode
-// Network.Forward — the same kernels run in the same order — so Table 1 /
-// Fig. 1 / Fig. 2 numbers cannot drift (pinned by the equivalence tests in
-// this package for every model in internal/models, digital and analog).
+// Network.Forward — every element goes through the same per-element
+// arithmetic (nn.PointwiseLayer.Pointwise is the only copy of it) — so
+// Table 1 / Fig. 1 / Fig. 2 numbers cannot drift (pinned by the
+// equivalence tests in this package for every model in internal/models,
+// digital and analog).
 //
 // A Plan is bound to the layer instances of one network clone and reads the
 // current weights at execution time: re-programming weights (write-verify,
@@ -63,6 +76,11 @@ type step struct {
 	src     int            // input buffer index (opForward)
 	dst     int            // output buffer index
 	operand int            // opAdd: buffer accumulated into dst
+	// fused is the pointwise run applied in place on buf[dst] after the
+	// step, segment by segment: segment j holds seg elements of channel
+	// j % chans.
+	fused      []nn.PointwiseLayer
+	seg, chans int
 }
 
 // StepInfo describes one compiled step for diagnostics and tests.
@@ -71,6 +89,8 @@ type StepInfo struct {
 	Name string
 	// OutShape is the full (batched) output shape of the step.
 	OutShape []int
+	// Fused names the pointwise layers folded into the step, in order.
+	Fused []string
 }
 
 // Plan is a compiled evaluation program for one network at one fixed batch
@@ -143,6 +163,14 @@ func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
 	case *nn.Sequential:
 		cur, curShape := src, srcShape
 		for _, child := range v.Layers {
+			// cur != src means the last emitted step produced cur inside
+			// this Sequential, so nothing else reads it.
+			if pw, ok := child.(nn.PointwiseLayer); ok && cur != src {
+				if err := p.fold(pw, curShape); err != nil {
+					return 0, err
+				}
+				continue
+			}
 			next, err := p.compile(child, cur, curShape)
 			if err != nil {
 				return 0, err
@@ -190,6 +218,30 @@ func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
 	}
 }
 
+// fold appends pw to the pointwise run of the last emitted step, whose
+// output has the given shape.
+func (p *Plan) fold(pw nn.PointwiseLayer, shape []int) error {
+	if _, err := pw.OutShape(shape); err != nil {
+		return err
+	}
+	st, info := &p.steps[len(p.steps)-1], &p.infos[len(p.infos)-1]
+	if st.fused == nil {
+		// A [B, C, ...] buffer splits into per-channel planes; a rank-2
+		// [B, F] buffer into one segment per sample, which only the
+		// channel-agnostic layers can follow (BatchNorm2D needs rank 4).
+		st.seg, st.chans = 1, shape[1]
+		for _, d := range shape[2:] {
+			st.seg *= d
+		}
+		if len(shape) == 2 {
+			st.seg, st.chans = shape[1], 1
+		}
+	}
+	st.fused = append(st.fused, pw)
+	info.Fused = append(info.Fused, pw.Name())
+	return nil
+}
+
 // shapeOf returns the shape of buffer i (fallback covers buffer 0, the input).
 func (p *Plan) shapeOf(i int, inShape []int) []int {
 	if i == 0 {
@@ -230,19 +282,39 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	p.scratch.Reset()
 	p.bufs[0] = x
-	for _, st := range p.steps {
+	for i := range p.steps {
+		st := &p.steps[i]
+		out := p.bufs[st.dst]
 		switch st.kind {
 		case opForward:
 			if st.klayer != nil {
-				st.klayer.ForwardIntoKernel(p.bufs[st.dst], p.bufs[st.src], p.scratch, p.kern)
+				st.klayer.ForwardIntoKernel(out, p.bufs[st.src], p.scratch, p.kern)
 			} else {
-				st.layer.ForwardInto(p.bufs[st.dst], p.bufs[st.src], p.scratch)
+				st.layer.ForwardInto(out, p.bufs[st.src], p.scratch)
 			}
 		case opAdd:
-			p.bufs[st.dst].Add(p.bufs[st.operand])
+			out.Add(p.bufs[st.operand])
+		}
+		if st.fused != nil {
+			st.applyFused(out.Data)
 		}
 	}
 	return p.bufs[p.out]
+}
+
+// applyFused runs the step's pointwise run in place on its output, one
+// segment at a time, so every folded layer touches the segment while it is
+// still in L1.
+func (st *step) applyFused(out []float64) {
+	for off, ch := 0, 0; off < len(out); off += st.seg {
+		seg := out[off : off+st.seg]
+		for _, pw := range st.fused {
+			pw.Pointwise(seg, seg, ch)
+		}
+		if ch++; ch == st.chans {
+			ch = 0
+		}
+	}
 }
 
 // CountCorrect runs inference and returns how many samples are classified

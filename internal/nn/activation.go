@@ -19,20 +19,17 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Name implements Layer.
 func (r *ReLU) Name() string { return "relu" }
 
-// Forward implements Layer.
+// Forward implements Layer. The values come from Pointwise, the rule
+// compiled plans run; training additionally records the gradient mask.
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	out := x.Clone()
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
+	out := tensor.New(x.Shape...)
+	r.Pointwise(out.Data, x.Data, 0)
+	if cap(r.mask) < len(x.Data) {
+		r.mask = make([]bool, len(x.Data))
 	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
-		if v > 0 {
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-			out.Data[i] = 0
-		}
+	r.mask = r.mask[:len(x.Data)]
+	for i, v := range x.Data {
+		r.mask[i] = v > 0
 	}
 	return out
 }
@@ -42,12 +39,29 @@ func (r *ReLU) OutShape(in []int) ([]int, error) { return in, nil }
 
 // ForwardInto implements PlanLayer (no mask bookkeeping — inference only).
 func (r *ReLU) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
-	for i, v := range x.Data {
-		if v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
+	r.Pointwise(dst.Data, x.Data, 0)
+}
+
+// reluKeep bounds the bit patterns ReLU passes through. With b the bits of
+// v, b-1 < reluKeep holds exactly for 0 < v <= +Inf: +0 wraps to the top of
+// the uint64 range, and a set sign bit or a NaN exponent lands at or above
+// the bound.
+const reluKeep = 0x7FF0000000000000
+
+// Pointwise implements PointwiseLayer: dst[i] is src[i] when src[i] > 0 and
+// +0 otherwise (NaN included). The test is an unsigned compare on the bit
+// pattern feeding an integer select, so the loop has no data-dependent
+// branch: post-BN signs are close to a coin flip, which a branch would
+// mispredict about half the time.
+func (r *ReLU) Pointwise(dst, src []float64, _ int) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		b := math.Float64bits(v)
+		var out uint64
+		if b-1 < reluKeep {
+			out = b
 		}
+		dst[i] = math.Float64frombits(out)
 	}
 }
 
@@ -112,13 +126,15 @@ func (q *QuantAct) Levels() int { return (1 << q.Bits) - 1 }
 // Name implements Layer.
 func (q *QuantAct) Name() string { return q.name }
 
-// Forward implements Layer.
+// Forward implements Layer. The values come from Pointwise, the quantizer
+// compiled plans run; training additionally calibrates Max and records the
+// straight-through in-range mask.
 func (q *QuantAct) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if cap(q.inRange) < len(x.Data) {
+		q.inRange = make([]bool, len(x.Data))
+	}
+	q.inRange = q.inRange[:len(x.Data)]
 	if q.Disabled {
-		if cap(q.inRange) < len(x.Data) {
-			q.inRange = make([]bool, len(x.Data))
-		}
-		q.inRange = q.inRange[:len(x.Data)]
 		for i := range q.inRange {
 			q.inRange[i] = true
 		}
@@ -129,27 +145,16 @@ func (q *QuantAct) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			q.Max = m
 		}
 	}
-	out := x.Clone()
-	if cap(q.inRange) < len(out.Data) {
-		q.inRange = make([]bool, len(out.Data))
-	}
-	q.inRange = q.inRange[:len(out.Data)]
-	step := q.Max / float64(q.Levels())
-	if step == 0 {
+	out := tensor.New(x.Shape...)
+	q.Pointwise(out.Data, x.Data, 0)
+	if q.step() == 0 {
 		for i := range q.inRange {
 			q.inRange[i] = true
 		}
 		return out
 	}
-	for i, v := range out.Data {
+	for i, v := range x.Data {
 		q.inRange[i] = v >= 0 && v <= q.Max
-		if v < 0 {
-			out.Data[i] = 0
-		} else if v > q.Max {
-			out.Data[i] = q.Max
-		} else {
-			out.Data[i] = math.Round(v/step) * step
-		}
 	}
 	return out
 }
@@ -158,26 +163,66 @@ func (q *QuantAct) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (q *QuantAct) OutShape(in []int) ([]int, error) { return in, nil }
 
 // ForwardInto implements PlanLayer: the evaluation-mode quantization (no
-// range calibration, no straight-through mask bookkeeping). The arithmetic
-// matches Forward(x, false) bit for bit.
+// range calibration, no straight-through mask bookkeeping).
 func (q *QuantAct) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
-	if q.Disabled {
-		copy(dst.Data, x.Data)
+	q.Pointwise(dst.Data, x.Data, 0)
+}
+
+// step returns the quantization step Max/Levels; 0 makes the layer a copy.
+func (q *QuantAct) step() float64 { return q.Max / float64(q.Levels()) }
+
+// roundMagic is 2^52: for 0 <= u <= 2^52, (u+roundMagic)-roundMagic is u
+// rounded to the nearest integer, ties to even, since the sum's ulp is 1.
+const roundMagic = 1 << 52
+
+// Pointwise implements PointwiseLayer. Each value v maps to 0 when v < 0, to
+// Max when v > Max, and otherwise to math.Round(v/step)*step, bit for bit,
+// for every v and Max including ±0, NaN, ±Inf and subnormals; a Disabled
+// layer or a zero step copies.
+//
+// The loop has no data-dependent branch, and no int64 round trip (two
+// conversions on the critical path cost more than the branches they
+// replace). With u = v/step, t = RNE(u) comes from the 2^52 magic-number
+// add, and math.Round (ties away from zero) differs from it only on an
+// exact tie rounded down, where u-t (exact) is 0.5; both candidate
+// products are computed and one is selected on bits. A zero result takes
+// the sign of u, as math.Round's does. An in-range v has
+// 0 <= u <= Max/step, far below 2^52 even for a subnormal step, so every
+// kept product is exact math.Round; the rest are overwritten by integer
+// selects: a NaN u passes through (math.Round and ·step return it), then
+// Max for v > Max and +0 for v < 0. The division stays: v*(1/step) rounds
+// differently.
+func (q *QuantAct) Pointwise(dst, src []float64, _ int) {
+	step := q.step()
+	if q.Disabled || step == 0 {
+		copy(dst, src)
 		return
 	}
-	step := q.Max / float64(q.Levels())
-	if step == 0 {
-		copy(dst.Data, x.Data)
-		return
-	}
-	for i, v := range x.Data {
-		if v < 0 {
-			dst.Data[i] = 0
-		} else if v > q.Max {
-			dst.Data[i] = q.Max
-		} else {
-			dst.Data[i] = math.Round(v/step) * step
+	const sign, half, inf = 1 << 63, 0x3FE0000000000000, 0x7FF0000000000000
+	hi := q.Max
+	hiBits := math.Float64bits(hi)
+	dst = dst[:len(src)]
+	for i, v := range src {
+		u := v / step
+		ub := math.Float64bits(u)
+		t := (u + roundMagic) - roundMagic
+		out, up := math.Float64bits(t*step), math.Float64bits((t+1)*step)
+		if math.Float64bits(u-t) == half {
+			out = up
 		}
+		if out == 0 {
+			out = ub & sign
+		}
+		if ub&^sign > inf {
+			out = ub
+		}
+		if v > hi {
+			out = hiBits
+		}
+		if v < 0 {
+			out = 0
+		}
+		dst[i] = math.Float64frombits(out)
 	}
 }
 

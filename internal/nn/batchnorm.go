@@ -126,23 +126,30 @@ func (bn *BatchNorm2D) OutShape(in []int) ([]int, error) {
 	return in, nil
 }
 
-// ForwardInto implements PlanLayer: the frozen-statistics affine map
-// y = γ·(x − μ)/σ + β per channel, computed with exactly the expressions the
-// evaluation-mode Forward uses (no x̂ caching — inference only).
+// ForwardInto implements PlanLayer: Pointwise over every (sample, channel)
+// plane of x.
 func (bn *BatchNorm2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
-	b, c := x.Shape[0], x.Shape[1]
+	c := x.Shape[1]
 	hw := x.Shape[2] * x.Shape[3]
-	for bi := 0; bi < b; bi++ {
-		for ci := 0; ci < c; ci++ {
-			base := (bi*c + ci) * hw
-			g, bta := bn.Gamma.Data.Data[ci], bn.Beta.Data.Data[ci]
-			m := bn.RunMean.Data[ci]
-			is := 1.0 / math.Sqrt(bn.RunVar.Data[ci]+bn.Eps)
-			for i := base; i < base+hw; i++ {
-				xh := (x.Data[i] - m) * is
-				dst.Data[i] = g*xh + bta
-			}
+	for off, ci := 0, 0; off < len(x.Data); off += hw {
+		bn.Pointwise(dst.Data[off:off+hw], x.Data[off:off+hw], ci)
+		if ci++; ci == c {
+			ci = 0
 		}
+	}
+}
+
+// Pointwise implements PointwiseLayer: the frozen-statistics affine map
+// y = γ·(x − μ)/σ + β of channel ch, computed with exactly the expressions
+// the evaluation-mode Forward uses (no x̂ caching — inference only).
+func (bn *BatchNorm2D) Pointwise(dst, src []float64, ch int) {
+	g, bta := bn.Gamma.Data.Data[ch], bn.Beta.Data.Data[ch]
+	m := bn.RunMean.Data[ch]
+	is := 1.0 / math.Sqrt(bn.RunVar.Data[ch]+bn.Eps)
+	dst = dst[:len(src)]
+	for i, x := range src {
+		xh := (x - m) * is
+		dst[i] = g*xh + bta
 	}
 }
 

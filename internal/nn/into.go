@@ -29,9 +29,12 @@ import (
 //     Arena.Reset, so implementations must not retain them across calls.
 //
 // The arithmetic of ForwardInto is bit-for-bit identical to the
-// evaluation-mode Forward: the same kernels run in the same order, so a
-// compiled plan reproduces legacy results exactly (pinned by the equivalence
-// tests in package eval).
+// evaluation-mode Forward: each output element goes through the same
+// per-element expressions, so a compiled plan reproduces legacy results
+// exactly (pinned by the equivalence tests in package eval). Elementwise
+// layers also implement PointwiseLayer, and their ForwardInto is a loop over
+// Pointwise, so that arithmetic exists once whether a plan runs the layer as
+// its own step or folds it into its producer's epilogue.
 type PlanLayer interface {
 	Layer
 	// OutShape returns the output shape produced for a batched input of the
@@ -64,6 +67,31 @@ type KernelLayer interface {
 	ForwardIntoKernel(dst, x *tensor.Tensor, scratch *tensor.Arena, k kernel.Backend)
 }
 
+// PointwiseLayer is implemented by the layers whose evaluation-mode forward
+// pass maps every element independently, given its channel: BatchNorm2D
+// (frozen statistics), ReLU and QuantAct. Compiled plans fold a run of them
+// onto the step that produces their input and apply it in place, one
+// segment at a time, so the folded layers need no buffer of their own.
+//
+// Pointwise contracts:
+//
+//   - it computes the evaluation-mode forward pass of the elements in src,
+//     all of which belong to channel ch (axis 1 of a [B, C, ...] tensor),
+//     into dst;
+//   - dst has len(src) elements and may be src itself (in place), but must
+//     not partially overlap it;
+//   - ch is ignored by the channel-agnostic layers (ReLU, QuantAct), so a
+//     segment may then span several channels or a whole tensor;
+//   - the loop is branch-free in the data, and the result is bit-identical
+//     to ForwardInto (which is a loop over Pointwise) and to the
+//     evaluation-mode Forward.
+type PointwiseLayer interface {
+	PlanLayer
+	// Pointwise applies the evaluation-mode forward pass of channel ch to
+	// src, writing dst (which may equal src).
+	Pointwise(dst, src []float64, ch int)
+}
+
 // Compile-time checks: every layer in the package satisfies PlanLayer.
 var (
 	_ PlanLayer = (*Linear)(nil)
@@ -81,6 +109,10 @@ var (
 
 	_ KernelLayer = (*Linear)(nil)
 	_ KernelLayer = (*Conv2D)(nil)
+
+	_ PointwiseLayer = (*BatchNorm2D)(nil)
+	_ PointwiseLayer = (*ReLU)(nil)
+	_ PointwiseLayer = (*QuantAct)(nil)
 )
 
 // planChild asserts that a container child implements PlanLayer.
