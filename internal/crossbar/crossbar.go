@@ -7,18 +7,19 @@
 // mapping with a structural simulation: weights are bit-sliced across K-bit
 // devices in differential pairs (positive/negative columns), inputs are
 // quantized by the DAC, each tile computes Σ g·v per column, and the ADC
-// quantizes the accumulated currents. This is the substrate the
-// crossbar_inference example runs a whole network on, demonstrating that the
-// behavioural and structural models agree.
+// quantizes the accumulated currents. The crossbar_inference example
+// programs one trained Linear classifier onto an Array, drives the test set
+// through MatVec, and shows write-verify closing the gap to the digital
+// reference. Accuracy measurements elsewhere read the behavioural model
+// (mapping.SyncRead, then a compiled eval plan); the rest of the pipeline
+// reads only the tile geometry of Config.
 package crossbar
 
 import (
 	"fmt"
 	"math"
 
-	"swim/internal/calib"
 	"swim/internal/device"
-	"swim/internal/nonideal"
 	"swim/internal/quant"
 	"swim/internal/rng"
 	"swim/internal/tensor"
@@ -65,29 +66,12 @@ type Array struct {
 	// negative column collapse to one signed number per device).
 	conduct [][]float64
 	tiles   int
-
-	// Read-time nonideality state: when inst is set, MatVec reads eff —
-	// the degraded view of conduct at readTime — instead of the programmed
-	// conductances. conduct stays the ground truth so WriteVerify keeps
-	// correcting the true device state (and resets its degradation).
-	inst     nonideal.Instance
-	readTime float64
-	eff      [][]float64
-
-	// Calibration state (SetCalibration): corrW holds the digitally
-	// corrected aggregate weights (bit-slices summed with their 2^(d·K)
-	// significance) the calibrated MatVec path reads instead of the
-	// per-slice view; calDes/calRaw are fit scratch.
-	cal            *calib.Calibrator
-	corrW          []float64
-	calDes, calRaw []float64
 }
 
 // NewArray programs weight matrix w ([out, in]) onto the fabric with
 // unverified writes. Use WriteVerify afterwards to refine chosen weights.
 // Invalid fabric parameters or a non-matrix weight tensor are reported as
-// errors: NewArray is called from builder code (BuildAnalog) that may run
-// inside Monte-Carlo workers, where a panic would take down the pool.
+// errors.
 func NewArray(cfg Config, w *tensor.Tensor, r *rng.Source) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("crossbar: invalid fabric: %w", err)
@@ -115,90 +99,6 @@ func NewArray(cfg Config, w *tensor.Tensor, r *rng.Source) (*Array, error) {
 	return a, nil
 }
 
-// SetNonideal installs a read-time nonideality instance: every subsequent
-// MatVec observes the degraded conductances at readTime seconds after
-// programming. The device index passed to the instance is weight-major
-// within this array (arrayWeight·NumDevices + slice) — array-local, not
-// network-global, so an instance shared across the arrays of a multi-layer
-// network draws per-device randomness independently per array rather than
-// reproducing the mapping layer's global indexing. A nil inst restores
-// ideal reads.
-func (a *Array) SetNonideal(inst nonideal.Instance, readTime float64) {
-	a.inst, a.readTime = inst, readTime
-	if inst == nil {
-		a.eff = nil
-		return
-	}
-	a.eff = make([][]float64, len(a.conduct))
-	for d := range a.conduct {
-		a.eff[d] = make([]float64, len(a.conduct[d]))
-		for i := range a.conduct[d] {
-			a.refreshEff(d, i)
-		}
-	}
-	a.recalibrate()
-}
-
-// SetCalibration installs a per-trial calibration instance (package calib):
-// every subsequent MatVec reads digitally corrected aggregate weights — the
-// calibrator's affine fit of the degraded read-out against the programmed
-// (write-time ground truth) conductances, the pairs a hardware probe read at
-// t = 0 versus the current read time reveals. The correction refits after
-// SetNonideal and after every WriteVerify, so it always reflects the current
-// device state. A nil c restores raw reads.
-func (a *Array) SetCalibration(c *calib.Calibrator) {
-	a.cal = c
-	if c == nil {
-		a.corrW = nil
-		return
-	}
-	a.recalibrate()
-}
-
-// recalibrate refits the correction from the current read view and rebuilds
-// the corrected aggregate weights. A no-op without SetCalibration.
-func (a *Array) recalibrate() {
-	if a.cal == nil {
-		return
-	}
-	n := a.out * a.in
-	if a.corrW == nil {
-		a.corrW = make([]float64, n)
-		a.calDes = make([]float64, n)
-		a.calRaw = make([]float64, n)
-	}
-	read := a.conduct
-	if a.eff != nil {
-		read = a.eff
-	}
-	for i := 0; i < n; i++ {
-		a.calDes[i], a.calRaw[i] = 0, 0
-	}
-	for d := range a.conduct {
-		weight := math.Pow(2, float64(d*a.cfg.Device.DeviceBits))
-		for i, g := range a.conduct[d] {
-			a.calDes[i] += weight * g
-		}
-		for i, g := range read[d] {
-			a.calRaw[i] += weight * g
-		}
-	}
-	corr := a.cal.Fit(0, a.calDes, a.calRaw, a.out, a.in)
-	for i, v := range a.calRaw {
-		a.corrW[i] = corr.Apply(i, v)
-	}
-}
-
-// refreshEff recomputes the degraded view of one device from its programmed
-// conductance.
-func (a *Array) refreshEff(d, i int) {
-	g, sign := a.conduct[d][i], 1.0
-	if g < 0 {
-		sign, g = -1, -g
-	}
-	a.eff[d][i] = sign * a.inst.Apply(i*len(a.conduct)+d, g, a.readTime)
-}
-
 // Tiles returns how many physical tiles the matrix occupies.
 func (a *Array) Tiles() int { return a.tiles }
 
@@ -223,12 +123,8 @@ func (a *Array) WriteVerify(row, col int, r *rng.Source) int {
 		target := math.Round(math.Abs(a.conduct[d][i]))
 		res, cycles := single.WriteVerify(int(target), r)
 		a.conduct[d][i] = sign * (target + res)
-		if a.eff != nil {
-			a.refreshEff(d, i) // re-degrade from the new programmed state
-		}
 		total += cycles
 	}
-	a.recalibrate()
 	return total
 }
 
@@ -237,47 +133,14 @@ func (a *Array) WriteVerify(row, col int, r *rng.Source) int {
 // result. Reconstruction weighs slice d by 2^(d·K) and rescales by the
 // quantization step.
 func (a *Array) MatVec(x []float64) []float64 {
-	y := make([]float64, a.out)
-	a.MatVecInto(y, x, make([]float64, a.in))
-	return y
-}
-
-// MatVecInto is the allocation-free MatVec: y receives the result (length
-// out) and xq is caller-provided scratch for the DAC-quantized input (length
-// in). The arithmetic is identical to MatVec.
-func (a *Array) MatVecInto(y, x, xq []float64) {
 	if len(x) != a.in {
 		panic(fmt.Sprintf("crossbar: input length %d, want %d", len(x), a.in))
 	}
-	if len(y) != a.out || len(xq) != a.in {
-		panic(fmt.Sprintf("crossbar: MatVecInto buffers %d/%d, want %d/%d", len(y), len(xq), a.out, a.in))
-	}
+	xq := make([]float64, a.in)
 	a.dacInto(xq, x)
-	for o := range y {
-		y[o] = 0
-	}
-	if a.corrW != nil {
-		// Calibrated read: the digital correction operates on the ADC-side
-		// aggregate, so the calibrated path sums the corrected weights in one
-		// pass instead of per bit-slice.
-		for o := 0; o < a.out; o++ {
-			row := a.corrW[o*a.in : (o+1)*a.in]
-			s := 0.0
-			for i, v := range xq {
-				s += row[i] * v
-			}
-			y[o] = s * a.scale
-		}
-		a.adc(y)
-		return
-	}
-	slices := a.conduct
-	if a.eff != nil {
-		slices = a.eff
-	}
-	for d := range slices {
+	y := make([]float64, a.out)
+	for d, cd := range a.conduct {
 		weight := math.Pow(2, float64(d*a.cfg.Device.DeviceBits))
-		cd := slices[d]
 		for o := 0; o < a.out; o++ {
 			row := cd[o*a.in : (o+1)*a.in]
 			s := 0.0
@@ -290,7 +153,7 @@ func (a *Array) MatVecInto(y, x, xq []float64) {
 	for o := range y {
 		y[o] *= a.scale
 	}
-	a.adc(y)
+	return a.adc(y)
 }
 
 // dacInto quantizes the input vector to DACBits uniform levels over its

@@ -1,17 +1,17 @@
 // Package eval implements the compiled, zero-allocation evaluation engine
 // behind every accuracy measurement in the repository. The Monte-Carlo loops
 // of the SWIM reproduction re-run the full network forward pass over the
-// evaluation set after every programming granule; with the legacy
-// Layer.Forward path each of those passes allocates fresh output tensors,
+// evaluation set after every programming granule; through Layer.Forward
+// each of those passes would allocate fresh output tensors,
 // im2col scratch and residual clones, so the hot loop is dominated by GC
 // pressure rather than arithmetic.
 //
 // A Plan fixes that: Compile walks a nn.Network once for a fixed batch
-// shape, infers every intermediate shape via nn.PlanLayer.OutShape, flattens
+// shape, infers every intermediate shape via nn.Layer.OutShape, flattens
 // the Sequential/Residual structure into a linear step program, and binds
 // one persistent activation buffer per step. Executing the plan then runs
 // each layer's ForwardInto kernel into its pre-bound buffer, drawing
-// per-call temporaries (im2col columns, DAC scratch) from a bump-allocator
+// per-call temporaries (im2col columns) from a bump-allocator
 // Arena that is reset at the start of every forward pass. The first Forward
 // grows the arena to its fixed point; every subsequent pass performs zero
 // heap allocations (pinned by BenchmarkEvalPlan and the
@@ -28,12 +28,14 @@
 // a residual's skip operand, which must never be written, so a pointwise
 // layer there stays an ordinary step.
 //
-// Plans are bit-for-bit equivalent to the legacy evaluation-mode
-// Network.Forward — every element goes through the same per-element
-// arithmetic (nn.PointwiseLayer.Pointwise is the only copy of it) — so
-// Table 1 / Fig. 1 / Fig. 2 numbers cannot drift (pinned by the
-// equivalence tests in this package for every model in internal/models,
-// digital and analog).
+// Every nn.Layer carries the plan contract, so every network compiles and
+// plans are the only accuracy path: a shape error is reported to the caller,
+// never papered over by a second implementation. Plans are bit-for-bit
+// equivalent to the evaluation-mode Network.Forward — every element goes
+// through the same per-element arithmetic (nn.PointwiseLayer.Pointwise is
+// the only copy of it) — so Table 1 / Fig. 1 / Fig. 2 numbers cannot drift
+// (pinned by the equivalence tests in this package for every model in
+// internal/models, both as trained and as mapped onto devices).
 //
 // A Plan is bound to the layer instances of one network clone and reads the
 // current weights at execution time: re-programming weights (write-verify,
@@ -53,12 +55,6 @@ import (
 	"swim/internal/tensor"
 )
 
-// ErrUnsupported reports that a network contains a layer outside the
-// nn.PlanLayer contract and therefore cannot be compiled. Callers use it
-// (via errors.Is) to distinguish "this network can never compile — pin the
-// legacy path" from transient input errors.
-var ErrUnsupported = errors.New("eval: layer does not support compiled evaluation")
-
 type opKind uint8
 
 const (
@@ -71,7 +67,7 @@ const (
 // step is one instruction of the compiled plan.
 type step struct {
 	kind    opKind
-	layer   nn.PlanLayer   // opForward only
+	layer   nn.Layer       // opForward only
 	klayer  nn.KernelLayer // opForward, non-nil when layer routes through a kernel backend
 	src     int            // input buffer index (opForward)
 	dst     int            // output buffer index
@@ -153,12 +149,8 @@ func CompileKernel(net *nn.Network, inShape []int, scratch *tensor.Arena, k kern
 
 // compile flattens the layer tree rooted at l, reading from buffer src, and
 // returns the buffer index holding l's output. Sequential and Residual are
-// decomposed into leaf steps; every other PlanLayer becomes one opForward.
+// decomposed into leaf steps; every other layer becomes one opForward.
 func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
-	pl, ok := l.(nn.PlanLayer)
-	if !ok {
-		return 0, fmt.Errorf("layer %s (%T): %w", l.Name(), l, ErrUnsupported)
-	}
 	switch v := l.(type) {
 	case *nn.Sequential:
 		cur, curShape := src, srcShape
@@ -180,7 +172,7 @@ func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
 		return cur, nil
 	case *nn.Residual:
 		// Body first, then the shortcut, then the branch sum — the exact
-		// execution order (and floating-point result) of the legacy Forward.
+		// execution order (and floating-point result) of Residual.Forward.
 		dst, err := p.compile(v.Body, src, srcShape)
 		if err != nil {
 			return 0, err
@@ -205,15 +197,15 @@ func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
 		p.infos = append(p.infos, StepInfo{Name: "+", OutShape: dstShape})
 		return dst, nil
 	default:
-		outShape, err := pl.OutShape(srcShape)
+		outShape, err := l.OutShape(srcShape)
 		if err != nil {
 			return 0, err
 		}
 		p.bufs = append(p.bufs, tensor.New(outShape...))
 		dst := len(p.bufs) - 1
 		kl, _ := l.(nn.KernelLayer)
-		p.steps = append(p.steps, step{kind: opForward, layer: pl, klayer: kl, src: src, dst: dst})
-		p.infos = append(p.infos, StepInfo{Name: pl.Name(), OutShape: append([]int(nil), outShape...)})
+		p.steps = append(p.steps, step{kind: opForward, layer: l, klayer: kl, src: src, dst: dst})
+		p.infos = append(p.infos, StepInfo{Name: l.Name(), OutShape: append([]int(nil), outShape...)})
 		return dst, nil
 	}
 }
@@ -318,7 +310,7 @@ func (st *step) applyFused(out []float64) {
 }
 
 // CountCorrect runs inference and returns how many samples are classified
-// correctly, sharing the top-1 argmax (and its tie-breaking) with the legacy
+// correctly, sharing the top-1 argmax (and its tie-breaking) with
 // Network.CountCorrect.
 func (p *Plan) CountCorrect(x *tensor.Tensor, labels []int) int {
 	return nn.CountCorrectLogits(p.Forward(x), labels)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"swim/internal/mc"
@@ -133,6 +134,33 @@ func TestFig1Correlations(t *testing.T) {
 	PrintFig1(&buf, w, cfg, res)
 	if !bytes.Contains(buf.Bytes(), []byte("Pearson")) {
 		t.Fatal("fig1 print missing correlations")
+	}
+}
+
+// TestFig1RejectsDegenerateConfig pins the up-front refusal of settings that
+// would crash (an empty evaluation set) or print a meaningless number (no
+// repeats averages to a 0 mean, one weight has no correlation).
+func TestFig1RejectsDegenerateConfig(t *testing.T) {
+	w := &Workload{Name: "stub"} // refused before the workload is touched
+	for _, tc := range []struct {
+		name string
+		edit func(*Fig1Config)
+		want string
+	}{
+		{"zero eval", func(c *Fig1Config) { c.EvalN = 0 }, "evaluation subset"},
+		{"negative eval", func(c *Fig1Config) { c.EvalN = -5 }, "evaluation subset"},
+		{"zero repeats", func(c *Fig1Config) { c.Repeats = 0 }, "repeats"},
+		{"zero weights", func(c *Fig1Config) { c.NumWeights = 0 }, "at least 2 weights"},
+		{"one weight", func(c *Fig1Config) { c.NumWeights = 1 }, "at least 2 weights"},
+		{"negative weights", func(c *Fig1Config) { c.NumWeights = -3 }, "at least 2 weights"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultFig1()
+			tc.edit(&cfg)
+			if _, err := Fig1(w, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Fig1 error = %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -79,6 +79,16 @@ type Fig1Result struct {
 // of the master network, so the drops are deterministic in the seed and
 // independent of the worker count.
 func Fig1(w *Workload, cfg Fig1Config) (Fig1Result, error) {
+	// An empty evaluation set has no accuracy, an empty mean is 0 (every drop
+	// would read as the whole baseline), and a correlation needs two points.
+	switch {
+	case cfg.EvalN < 1:
+		return Fig1Result{}, fmt.Errorf("fig1 on %s: evaluation subset must be positive, got %d", w.Name, cfg.EvalN)
+	case cfg.Repeats < 1:
+		return Fig1Result{}, fmt.Errorf("fig1 on %s: repeats must be positive, got %d", w.Name, cfg.Repeats)
+	case cfg.NumWeights < 2:
+		return Fig1Result{}, fmt.Errorf("fig1 on %s: need at least 2 weights to correlate, got %d", w.Name, cfg.NumWeights)
+	}
 	batch := cfg.EvalBatch
 	if batch <= 0 {
 		batch = 64
@@ -180,30 +190,25 @@ func Fig1(w *Workload, cfg Fig1Config) (Fig1Result, error) {
 		pi, off := pis[k], offs[k]
 		p := net.MappedParams()[pi]
 		orig := p.Data.Data[off]
+		// One compiled evaluator per clone: plans read live weights, so the
+		// per-repeat perturbations are visible without recompiling.
+		ev := eval.NewEvaluatorKernel(net, nil, kern)
 		base := baseAcc
 		if len(cfg.Nonideal) > 0 {
 			// The degraded clone's baseline differs per trial (its faults
 			// and drift are trial-specific), so measure it in place.
-			base = train.Evaluate(net, evalX, evalY, batch)
+			if base, err = ev.Accuracy(evalX, evalY, batch); err != nil {
+				return fig1Out{err: err}
+			}
 		}
-		// One compiled evaluator per clone: plans read live weights, so the
-		// per-repeat perturbations are visible without recompiling. If the
-		// compiled path ever fails (it cannot for the internal/models
-		// networks), pin the legacy path for the remaining repeats instead of
-		// re-attempting a doomed compile per repeat.
-		ev := eval.NewEvaluatorKernel(net, nil, kern)
-		useEval := true
 		var acc stat.Welford
 		for rep := 0; rep < cfg.Repeats; rep++ {
 			p.Data.Data[off] = orig + r.Gauss(0, cfg.SigmaPerturb*scales[pi])
-			if useEval {
-				if a, err := ev.Accuracy(evalX, evalY, batch); err == nil {
-					acc.Add(a)
-					continue
-				}
-				useEval = false
+			a, err := ev.Accuracy(evalX, evalY, batch)
+			if err != nil {
+				return fig1Out{err: err}
 			}
-			acc.Add(train.Evaluate(net, evalX, evalY, batch))
+			acc.Add(a)
 		}
 		return fig1Out{drop: base - acc.Mean()}
 	})

@@ -11,12 +11,10 @@
 package mapping
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"swim/internal/calib"
-	"swim/internal/data"
 	"swim/internal/device"
 	"swim/internal/eval"
 	"swim/internal/kernel"
@@ -87,13 +85,10 @@ type Mapped struct {
 	// Compiled-evaluation state: Accuracy routes through an eval.Evaluator
 	// (zero steady-state allocations; see package eval) compiled lazily on
 	// first use. evalArena optionally shares one scratch arena across the
-	// trials a Monte-Carlo worker runs; evalLegacy records that compilation
-	// failed (a layer outside the PlanLayer contract) and pins the legacy
-	// Forward path for the rest of the trial.
-	ev         *eval.Evaluator
-	evalArena  *tensor.Arena
-	evalKern   kernel.Backend
-	evalLegacy bool
+	// trials a Monte-Carlo worker runs.
+	ev        *eval.Evaluator
+	evalArena *tensor.Arena
+	evalKern  kernel.Backend
 }
 
 // New quantizes the master network's mapped weights onto the device grid,
@@ -487,32 +482,22 @@ func (mp *Mapped) SetEvalArena(a *tensor.Arena) { mp.evalArena = a }
 func (mp *Mapped) SetKernel(k kernel.Backend) { mp.evalKern = k }
 
 // Accuracy evaluates the programmed network's top-1 accuracy (%) over the
-// given evaluation set. It runs through a compiled evaluation plan (package
-// eval) — bit-for-bit identical to the legacy Forward path but with zero
-// steady-state allocations. The legacy per-layer Forward remains the
-// fallback: pinned for the rest of the trial when the network contains a
-// layer outside the PlanLayer contract (eval.ErrUnsupported), or used for
-// just this call on any other evaluator error, reproducing the legacy
-// behaviour for malformed inputs.
+// given evaluation set, through a compiled evaluation plan (package eval):
+// bit-for-bit identical to the evaluation-mode Network.Forward, with zero
+// steady-state allocations. An evaluator error (an empty or mis-shaped set,
+// a non-positive batch) panics with the wrapped error: callers validate
+// their evaluation sets up front (program.WithEval, WithEvalBatch), so only
+// a bug reaches it, and the mc engine reports a worker panic as a run error.
 func (mp *Mapped) Accuracy(x *tensor.Tensor, y []int, batch int) float64 {
 	mp.SyncRead()
-	if !mp.evalLegacy {
-		if mp.ev == nil {
-			mp.ev = eval.NewEvaluatorKernel(mp.Net, mp.evalArena, mp.evalKern)
-		}
-		acc, err := mp.ev.Accuracy(x, y, batch)
-		if err == nil {
-			return acc
-		}
-		if errors.Is(err, eval.ErrUnsupported) {
-			mp.evalLegacy = true
-		}
+	if mp.ev == nil {
+		mp.ev = eval.NewEvaluatorKernel(mp.Net, mp.evalArena, mp.evalKern)
 	}
-	correct := 0
-	for _, b := range data.Batches(x, y, batch) {
-		correct += mp.Net.CountCorrect(b.X, b.Y)
+	acc, err := mp.ev.Accuracy(x, y, batch)
+	if err != nil {
+		panic(fmt.Errorf("mapping: accuracy: %w", err))
 	}
-	return 100 * float64(correct) / float64(len(y))
+	return acc
 }
 
 // ProgrammedError returns the current per-weight deviation (programmed −

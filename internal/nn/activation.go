@@ -34,10 +34,10 @@ func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (r *ReLU) OutShape(in []int) ([]int, error) { return in, nil }
 
-// ForwardInto implements PlanLayer (no mask bookkeeping — inference only).
+// ForwardInto implements Layer (no mask bookkeeping — inference only).
 func (r *ReLU) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
 	r.Pointwise(dst.Data, x.Data, 0)
 }
@@ -159,10 +159,10 @@ func (q *QuantAct) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (q *QuantAct) OutShape(in []int) ([]int, error) { return in, nil }
 
-// ForwardInto implements PlanLayer: the evaluation-mode quantization (no
+// ForwardInto implements Layer: the evaluation-mode quantization (no
 // range calibration, no straight-through mask bookkeeping).
 func (q *QuantAct) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
 	q.Pointwise(dst.Data, x.Data, 0)

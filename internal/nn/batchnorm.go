@@ -118,7 +118,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (bn *BatchNorm2D) OutShape(in []int) ([]int, error) {
 	if len(in) != 4 || in[1] != bn.C {
 		return nil, fmt.Errorf("%s: want input shape [B %d H W], got %v", bn.name, bn.C, in)
@@ -126,7 +126,7 @@ func (bn *BatchNorm2D) OutShape(in []int) ([]int, error) {
 	return in, nil
 }
 
-// ForwardInto implements PlanLayer: Pointwise over every (sample, channel)
+// ForwardInto implements Layer: Pointwise over every (sample, channel)
 // plane of x.
 func (bn *BatchNorm2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
 	c := x.Shape[1]

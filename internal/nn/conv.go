@@ -45,7 +45,7 @@ func NewConv2D(name string, inC, inH, inW, outC, kh, kw, stride, pad int, r *rng
 // Name implements Layer.
 func (c *Conv2D) Name() string { return c.name }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (c *Conv2D) OutShape(in []int) ([]int, error) {
 	g := c.Geom
 	if len(in) != 4 || in[1] != g.InC || in[2] != g.InH || in[3] != g.InW {
@@ -71,7 +71,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// ForwardInto implements PlanLayer through kernel.Default(), the blocked
+// ForwardInto implements Layer through kernel.Default(), the blocked
 // backend — the path the training forward pass takes too.
 func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena) {
 	c.ForwardIntoKernel(dst, x, s, kernel.Default())
@@ -80,7 +80,7 @@ func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena) {
 // ForwardIntoKernel implements KernelLayer: the batched convolution
 // primitive dst = conv(x, W) + b. For backends that lower through im2col the
 // workspace comes from scratch when provided (nil scratch falls back to the
-// layer-owned buffer, as the legacy path always did); im2col-free backends
+// layer-owned buffer, as Forward does); im2col-free backends
 // get no workspace at all.
 func (c *Conv2D) ForwardIntoKernel(dst, x *tensor.Tensor, s *tensor.Arena, k kernel.Backend) {
 	g := c.Geom

@@ -7,44 +7,6 @@ import (
 	"swim/internal/tensor"
 )
 
-// PlanLayer is the compiled-evaluation contract every layer in this
-// repository implements on top of Layer. A layer that satisfies PlanLayer can
-// be compiled into an allocation-free evaluation plan (package eval): OutShape
-// lets the compiler infer every intermediate shape for a fixed batch size up
-// front, and ForwardInto executes the inference-mode forward pass into a
-// caller-owned destination, drawing any temporary buffers from the scratch
-// arena instead of the heap.
-//
-// ForwardInto contracts:
-//
-//   - it computes the evaluation-mode (train=false) forward pass only;
-//   - dst is fully overwritten (it may hold garbage on entry) and must not
-//     alias x;
-//   - no state needed by Backward/BackwardSecond is updated — the legacy
-//     Forward path remains the entry point for training and sensitivity
-//     passes;
-//   - scratch may be nil, in which case temporaries fall back to the layer's
-//     own cached buffers or the heap;
-//   - buffers carved from scratch are released by the caller's next
-//     Arena.Reset, so implementations must not retain them across calls.
-//
-// The arithmetic of ForwardInto is bit-for-bit identical to the
-// evaluation-mode Forward: each output element goes through the same
-// per-element expressions, so a compiled plan reproduces legacy results
-// exactly (pinned by the equivalence tests in package eval). Elementwise
-// layers also implement PointwiseLayer, and their ForwardInto is a loop over
-// Pointwise, so that arithmetic exists once whether a plan runs the layer as
-// its own step or folds it into its producer's epilogue.
-type PlanLayer interface {
-	Layer
-	// OutShape returns the output shape produced for a batched input of the
-	// given shape (axis 0 is the batch), or an error when the input shape is
-	// incompatible with the layer.
-	OutShape(in []int) ([]int, error)
-	// ForwardInto computes the evaluation-mode forward pass into dst.
-	ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena)
-}
-
 // KernelLayer is implemented by the layers whose ForwardInto is built from
 // the dense primitives of a kernel.Backend (matmul, fused bias+matmul,
 // convolution). ForwardIntoKernel is ForwardInto with an explicit backend:
@@ -56,11 +18,10 @@ type PlanLayer interface {
 // computation axis.
 //
 // Layers whose forward pass has no dense primitive (activations, pooling,
-// normalization) and the analog crossbar layers (whose arithmetic is the
-// device model's, not a dense matmul) do not implement KernelLayer; plans
-// fall back to their plain ForwardInto.
+// normalization) do not implement KernelLayer; plans run their plain
+// ForwardInto.
 type KernelLayer interface {
-	PlanLayer
+	Layer
 	// ForwardIntoKernel computes the evaluation-mode forward pass into dst
 	// through the given kernel backend, under the same contracts as
 	// ForwardInto.
@@ -86,27 +47,14 @@ type KernelLayer interface {
 //     to ForwardInto (which is a loop over Pointwise) and to the
 //     evaluation-mode Forward.
 type PointwiseLayer interface {
-	PlanLayer
+	Layer
 	// Pointwise applies the evaluation-mode forward pass of channel ch to
 	// src, writing dst (which may equal src).
 	Pointwise(dst, src []float64, ch int)
 }
 
-// Compile-time checks: every layer in the package satisfies PlanLayer.
+// Compile-time checks of the optional contracts.
 var (
-	_ PlanLayer = (*Linear)(nil)
-	_ PlanLayer = (*Conv2D)(nil)
-	_ PlanLayer = (*BatchNorm2D)(nil)
-	_ PlanLayer = (*ReLU)(nil)
-	_ PlanLayer = (*QuantAct)(nil)
-	_ PlanLayer = (*MaxPool2D)(nil)
-	_ PlanLayer = (*AvgPool2D)(nil)
-	_ PlanLayer = (*Flatten)(nil)
-	_ PlanLayer = (*Sequential)(nil)
-	_ PlanLayer = (*Residual)(nil)
-	_ PlanLayer = (*Sigmoid)(nil)
-	_ PlanLayer = (*Tanh)(nil)
-
 	_ KernelLayer = (*Linear)(nil)
 	_ KernelLayer = (*Conv2D)(nil)
 
@@ -115,47 +63,30 @@ var (
 	_ PointwiseLayer = (*QuantAct)(nil)
 )
 
-// planChild asserts that a container child implements PlanLayer.
-func planChild(l Layer) (PlanLayer, error) {
-	pl, ok := l.(PlanLayer)
-	if !ok {
-		return nil, fmt.Errorf("nn: layer %s (%T) does not support compiled evaluation", l.Name(), l)
-	}
-	return pl, nil
-}
-
-// OutShape implements PlanLayer by folding the children's shape inference.
+// OutShape implements Layer by folding the children's shape inference.
 func (s *Sequential) OutShape(in []int) ([]int, error) {
 	cur := in
 	for _, l := range s.Layers {
-		pl, err := planChild(l)
-		if err != nil {
-			return nil, err
-		}
-		if cur, err = pl.OutShape(cur); err != nil {
+		var err error
+		if cur, err = l.OutShape(cur); err != nil {
 			return nil, fmt.Errorf("%s: %w", s.name, err)
 		}
 	}
 	return cur, nil
 }
 
-// ForwardInto implements PlanLayer: each child's output is carved from the
+// ForwardInto implements Layer: each child's output is carved from the
 // scratch arena, with the final child writing directly into dst. Compiled
 // plans flatten Sequential instead of calling this (the per-call shape
-// inference here allocates); it exists for the contract and the legacy
-// wrapper paths.
+// inference here allocates); it exists for the contract.
 func (s *Sequential) ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena) {
 	cur := x
 	for i, l := range s.Layers {
-		pl, err := planChild(l)
-		if err != nil {
-			panic(err)
-		}
 		if i == len(s.Layers)-1 {
-			pl.ForwardInto(dst, cur, scratch)
+			l.ForwardInto(dst, cur, scratch)
 			return
 		}
-		shape, err := pl.OutShape(cur.Shape)
+		shape, err := l.OutShape(cur.Shape)
 		if err != nil {
 			panic(fmt.Sprintf("nn: %s: %v", s.name, err))
 		}
@@ -165,31 +96,23 @@ func (s *Sequential) ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena) {
 		} else {
 			out = tensor.New(shape...)
 		}
-		pl.ForwardInto(out, cur, scratch)
+		l.ForwardInto(out, cur, scratch)
 		cur = out
 	}
 	// Empty Sequential: identity.
 	copy(dst.Data, x.Data)
 }
 
-// OutShape implements PlanLayer. The body defines the output shape; a
+// OutShape implements Layer. The body defines the output shape; a
 // projection shortcut must produce the same shape (an identity skip requires
 // the body to preserve the input shape).
 func (r *Residual) OutShape(in []int) ([]int, error) {
-	body, err := planChild(r.Body)
-	if err != nil {
-		return nil, err
-	}
-	out, err := body.OutShape(in)
+	out, err := r.Body.OutShape(in)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", r.name, err)
 	}
 	if r.Shortcut != nil {
-		short, err := planChild(r.Shortcut)
-		if err != nil {
-			return nil, err
-		}
-		sout, err := short.OutShape(in)
+		sout, err := r.Shortcut.OutShape(in)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
@@ -202,22 +125,14 @@ func (r *Residual) OutShape(in []int) ([]int, error) {
 	return out, nil
 }
 
-// ForwardInto implements PlanLayer: body into dst, shortcut into a scratch
+// ForwardInto implements Layer: body into dst, shortcut into a scratch
 // temporary, then the branch sum — the same order (and therefore the same
-// floating-point results) as the legacy Forward.
+// floating-point results) as Forward.
 func (r *Residual) ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena) {
-	body, err := planChild(r.Body)
-	if err != nil {
-		panic(err)
-	}
-	body.ForwardInto(dst, x, scratch)
+	r.Body.ForwardInto(dst, x, scratch)
 	if r.Shortcut == nil {
 		dst.Add(x)
 		return
-	}
-	short, err := planChild(r.Shortcut)
-	if err != nil {
-		panic(err)
 	}
 	var tmp *tensor.Tensor
 	if scratch != nil {
@@ -225,11 +140,11 @@ func (r *Residual) ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena) {
 	} else {
 		tmp = tensor.New(dst.Shape...)
 	}
-	short.ForwardInto(tmp, x, scratch)
+	r.Shortcut.ForwardInto(tmp, x, scratch)
 	dst.Add(tmp)
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (f *Flatten) OutShape(in []int) ([]int, error) {
 	if len(in) < 2 {
 		return nil, fmt.Errorf("flatten: need a batched input, got shape %v", in)
@@ -241,7 +156,7 @@ func (f *Flatten) OutShape(in []int) ([]int, error) {
 	return []int{in[0], n}, nil
 }
 
-// ForwardInto implements PlanLayer. Unlike the legacy Forward, which returns
+// ForwardInto implements Layer. Unlike Forward, which returns
 // an aliasing reshape view, the plan path copies into the destination buffer
 // (same values, no aliasing between plan buffers).
 func (f *Flatten) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {

@@ -10,6 +10,33 @@ import (
 // whatever activations it must cache between the forward and the two backward
 // passes, so a single layer instance must not be shared between concurrently
 // evaluated networks — use Clone for per-trial copies.
+//
+// Every layer also carries the compiled-evaluation half of the contract, so
+// any network can be compiled into an allocation-free evaluation plan
+// (package eval): OutShape lets the compiler infer every intermediate shape
+// for a fixed batch size up front, and ForwardInto executes the
+// inference-mode forward pass into a caller-owned destination, drawing any
+// temporary buffers from the scratch arena instead of the heap.
+//
+// ForwardInto contracts:
+//
+//   - it computes the evaluation-mode (train=false) forward pass only;
+//   - dst is fully overwritten (it may hold garbage on entry) and must not
+//     alias x;
+//   - no state needed by Backward/BackwardSecond is updated — Forward
+//     remains the entry point for training and sensitivity passes;
+//   - scratch may be nil, in which case temporaries fall back to the layer's
+//     own cached buffers or the heap;
+//   - buffers carved from scratch are released by the caller's next
+//     Arena.Reset, so implementations must not retain them across calls.
+//
+// The arithmetic of ForwardInto is bit-for-bit identical to the
+// evaluation-mode Forward: each output element goes through the same
+// per-element expressions, so a compiled plan reproduces Forward exactly
+// (pinned by the equivalence tests in package eval). Elementwise layers also
+// implement PointwiseLayer, and their ForwardInto is a loop over Pointwise,
+// so that arithmetic exists once whether a plan runs the layer as its own
+// step or folds it into its producer's epilogue.
 type Layer interface {
 	// Name returns a short human-readable identifier.
 	Name() string
@@ -30,6 +57,12 @@ type Layer interface {
 	Params() []*Param
 	// Clone returns a deep copy with independent parameters and caches.
 	Clone() Layer
+	// OutShape returns the output shape produced for a batched input of the
+	// given shape (axis 0 is the batch), or an error when the input shape is
+	// incompatible with the layer.
+	OutShape(in []int) ([]int, error)
+	// ForwardInto computes the evaluation-mode forward pass into dst.
+	ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena)
 }
 
 // Sequential chains layers, feeding each output into the next.
@@ -98,9 +131,9 @@ type Residual struct {
 	Shortcut Layer // nil means identity
 
 	// out is the cached forward output buffer, reused across calls when the
-	// batch shape is unchanged so the legacy path stops paying a Clone per
-	// Forward. The buffer is owned by this layer and overwritten by the next
-	// Forward call with a matching shape.
+	// batch shape is unchanged so Forward does not pay a Clone per call. The
+	// buffer is owned by this layer and overwritten by the next Forward call
+	// with a matching shape.
 	out *tensor.Tensor
 }
 

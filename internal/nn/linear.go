@@ -62,7 +62,7 @@ func (l *Linear) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (l *Linear) OutShape(in []int) ([]int, error) {
 	if len(in) != 2 || in[1] != l.In {
 		return nil, fmt.Errorf("%s: want input shape [B %d], got %v", l.name, l.In, in)
@@ -70,7 +70,7 @@ func (l *Linear) OutShape(in []int) ([]int, error) {
 	return []int{in[0], l.Out}, nil
 }
 
-// ForwardInto implements PlanLayer through kernel.Default(), the blocked
+// ForwardInto implements Layer through kernel.Default(), the blocked
 // backend — the path the training forward pass takes too.
 func (l *Linear) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena) {
 	l.ForwardIntoKernel(dst, x, s, kernel.Default())

@@ -68,7 +68,7 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (m *MaxPool2D) OutShape(in []int) ([]int, error) {
 	if len(in) != 4 {
 		return nil, fmt.Errorf("%s: want rank-4 input, got %v", m.name, in)
@@ -80,7 +80,7 @@ func (m *MaxPool2D) OutShape(in []int) ([]int, error) {
 	return []int{in[0], in[1], oh, ow}, nil
 }
 
-// ForwardInto implements PlanLayer (no argmax bookkeeping — inference only).
+// ForwardInto implements Layer (no argmax bookkeeping — inference only).
 // The window scan order matches Forward exactly, including tie-breaking.
 func (m *MaxPool2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
 	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -170,7 +170,7 @@ func (a *AvgPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (a *AvgPool2D) OutShape(in []int) ([]int, error) {
 	if len(in) != 4 {
 		return nil, fmt.Errorf("%s: want rank-4 input, got %v", a.name, in)
@@ -182,7 +182,7 @@ func (a *AvgPool2D) OutShape(in []int) ([]int, error) {
 	return []int{in[0], in[1], oh, ow}, nil
 }
 
-// ForwardInto implements PlanLayer.
+// ForwardInto implements Layer.
 func (a *AvgPool2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
 	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := poolOut(h, a.K, a.Stride), poolOut(w, a.K, a.Stride)

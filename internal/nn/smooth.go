@@ -42,10 +42,10 @@ func (s *smoothAct) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (s *smoothAct) OutShape(in []int) ([]int, error) { return in, nil }
 
-// ForwardInto implements PlanLayer.
+// ForwardInto implements Layer.
 func (s *smoothAct) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
 	for i, v := range x.Data {
 		dst.Data[i] = s.fn(v)

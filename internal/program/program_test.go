@@ -13,6 +13,7 @@ import (
 	"swim/internal/nn"
 	"swim/internal/rng"
 	"swim/internal/swim"
+	"swim/internal/tensor"
 	"swim/internal/train"
 )
 
@@ -210,6 +211,26 @@ func TestRunSurfacesPolicyMisconfiguration(t *testing.T) {
 	if _, err := p.Run(context.Background()); err == nil ||
 		!strings.Contains(err.Error(), "training set") {
 		t.Fatalf("missing-training run error = %v", err)
+	}
+}
+
+// TestRunSurfacesEvaluatorError feeds an evaluation set whose samples do not
+// fit the network (14x14 images into LeNet's 28x28 input): the compiled
+// evaluator's shape error must reach Run's caller with its message intact.
+func TestRunSurfacesEvaluatorError(t *testing.T) {
+	w := workload(t)
+	const n = 8
+	x := tensor.FromSlice(w.ds.TestX.Data[:n*14*14], n, 1, 14, 14)
+	p, err := New(w.net, mustLookup(t, "magnitude"), GridBudget(0.1),
+		WithDevice(device.Default(4, 1.0)),
+		WithEval(x, w.ds.TestY[:n]),
+		WithTrials(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(context.Background()); err == nil ||
+		!strings.Contains(err.Error(), "want input shape") {
+		t.Fatalf("mis-shaped eval set run error = %v", err)
 	}
 }
 

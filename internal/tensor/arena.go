@@ -83,16 +83,6 @@ func (a *Arena) Alloc(shape ...int) *Tensor {
 	return t
 }
 
-// ScratchFloats carves n float64s from a, falling back to the heap when a is
-// nil — the shared arena-or-heap pattern of the ForwardInto implementations
-// (a nil arena is the legacy, non-plan path).
-func ScratchFloats(a *Arena, n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
-	}
-	return a.AllocFloats(n)
-}
-
 // Footprint returns the total float64 capacity currently held by the arena,
 // for diagnostics and memory accounting.
 func (a *Arena) Footprint() int {
